@@ -11,7 +11,7 @@ use htsat_core::{PreparedFormula, SampleEngine, SamplerConfig, SessionConfig, Tr
 /// The engine it prepares is [`htsat_core::PreparedFormula`] itself (the
 /// native `"gd"` implementation of [`SampleEngine`]), with this adapter's
 /// [`SamplerConfig`] installed as the session template — so GD-specific
-/// knobs (kernel choice, iterations, learning rate, batch size) ride along
+/// knobs (iterations, learning rate, batch size) ride along
 /// while seed and backend come from the per-request [`SessionConfig`].
 #[derive(Debug, Clone, Default)]
 pub struct TransformedGdSampler {

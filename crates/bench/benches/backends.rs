@@ -1,10 +1,10 @@
 //! Criterion bench: data-parallel ("GPU" stand-in) versus sequential ("CPU")
 //! execution of the same sampling round — the paper's Fig. 4 (left)
-//! ablation — plus the fused flat kernel against the staged reference
-//! circuit, the allocation-free-hot-path ablation.
+//! ablation. The fused-versus-staged kernel cost is isolated by the
+//! `isolated_kernel_cost` diagnostic in `tests/kernel_timing.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use htsat_core::{GdSampler, KernelChoice, SamplerConfig};
+use htsat_core::{GdSampler, SamplerConfig};
 use htsat_instances::suite::{table2_instance, SuiteScale};
 use htsat_tensor::Backend;
 
@@ -13,29 +13,19 @@ fn bench_backends(c: &mut Criterion) {
     group.sample_size(10);
     for name in ["or-100-20-8-UC-10", "90-10-10-q", "s15850a_15_7", "Prod-32"] {
         let instance = table2_instance(name, SuiteScale::Small).expect("known instance");
-        // The fused flat kernel on every backend, plus the staged reference
-        // path sequentially — so `<backend> / reference-sequential` isolates
-        // the fusion win and `threads-auto / sequential` the parallel win.
-        let combos = [
-            (KernelChoice::Flat, Backend::Sequential),
-            (KernelChoice::Flat, Backend::Threads(0)),
-            (KernelChoice::Flat, Backend::DataParallel),
-            (KernelChoice::Reference, Backend::Sequential),
-        ];
-        for (kernel, backend) in combos {
+        for backend in [
+            Backend::Sequential,
+            Backend::Threads(0),
+            Backend::DataParallel,
+        ] {
             let config = SamplerConfig {
                 batch_size: 512,
                 backend,
-                kernel,
                 ..SamplerConfig::default()
             };
             let mut sampler = GdSampler::new(&instance.cnf, config).expect("transform");
-            let label = match kernel {
-                KernelChoice::Flat => backend.label(),
-                KernelChoice::Reference => format!("reference-{}", backend.label()),
-            };
             group.throughput(Throughput::Elements(512));
-            group.bench_with_input(BenchmarkId::new(label, name), &backend, |b, _| {
+            group.bench_with_input(BenchmarkId::new(backend.label(), name), &backend, |b, _| {
                 b.iter(|| sampler.sample_round())
             });
         }

@@ -6,44 +6,32 @@
 //! ```
 //!
 //! For every `.cnf` file in the directory: parse it, build the
-//! transformation + sampler, and stream samples for a bounded budget. Every
-//! returned sample is validated against the parsed CNF. Exits non-zero if
-//! any file fails to parse, any sampler fails to build, any sample is
-//! invalid, or no instance yields a single solution — the cheap end-to-end
-//! guard that the generator, the DIMACS round-trip and the sampling pipeline
-//! stay compatible.
+//! transformation + sampler, check the fused GD kernel against the
+//! reference circuit row by row ([`htsat_bench::kernel_oracle`]), and
+//! stream samples for a bounded budget. Every returned sample is validated
+//! against the parsed CNF. Exits non-zero if any file fails to parse, any
+//! sampler fails to build, the kernel oracle finds a divergent row, any
+//! sample is invalid, or no instance yields a single solution — the cheap
+//! end-to-end guard that the generator, the DIMACS round-trip and the
+//! sampling pipeline stay compatible.
 //!
 //! Options: `--budget-ms N` (per-instance sampling budget, default 500),
 //! `--target N` (solutions to aim for per instance, default 16),
-//! `--threads N` (worker threads, default auto),
-//! `--kernel flat|reference|both` (execution form of the GD inner loop;
-//! `both` replays every instance through the fused flat kernel *and* the
-//! staged reference circuit for a fixed round budget and fails unless the
-//! two produce **identical solution sequences** — the CI kernel-equivalence
-//! gate).
+//! `--threads N` (worker threads, default auto).
 
+use htsat_bench::kernel_oracle;
 use htsat_cnf::dimacs;
-use htsat_core::{GdSampler, KernelChoice, SamplerConfig};
+use htsat_core::compile::compile;
+use htsat_core::{GdSampler, SamplerConfig};
 use htsat_tensor::Backend;
 use std::path::PathBuf;
 use std::time::Duration;
-
-/// Rounds replayed per kernel in `--kernel both` mode (a fixed budget, so
-/// the flat/reference comparison is deterministic).
-const EQUIV_ROUNDS: usize = 2;
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum KernelMode {
-    Single(KernelChoice),
-    Both,
-}
 
 struct Config {
     dir: PathBuf,
     budget: Duration,
     target: usize,
     threads: usize,
-    kernel: KernelMode,
 }
 
 fn parse_args() -> Result<Config, String> {
@@ -57,7 +45,6 @@ fn parse_args() -> Result<Config, String> {
         budget: Duration::from_millis(500),
         target: 16,
         threads: 0,
-        kernel: KernelMode::Single(KernelChoice::Flat),
     };
     while let Some(flag) = args.next() {
         let value = args
@@ -80,14 +67,6 @@ fn parse_args() -> Result<Config, String> {
                     .parse()
                     .map_err(|e| format!("invalid --threads: {e}"))?;
             }
-            "--kernel" => {
-                config.kernel = match value.as_str() {
-                    "flat" => KernelMode::Single(KernelChoice::Flat),
-                    "reference" => KernelMode::Single(KernelChoice::Reference),
-                    "both" => KernelMode::Both,
-                    other => return Err(format!("unknown kernel `{other}`")),
-                };
-            }
             other => return Err(format!("unknown option `{other}`")),
         }
     }
@@ -100,7 +79,7 @@ fn main() {
         Err(msg) => {
             eprintln!("error: {msg}");
             eprintln!(
-                "usage: corpus_smoke <corpus-dir> [--budget-ms N] [--target N] [--threads N] [--kernel flat|reference|both]"
+                "usage: corpus_smoke <corpus-dir> [--budget-ms N] [--target N] [--threads N]"
             );
             std::process::exit(2);
         }
@@ -125,14 +104,6 @@ fn main() {
 
     let mut failures = 0usize;
     let mut total_solutions = 0usize;
-    if config.kernel == KernelMode::Both {
-        // The equivalence replay needs a deterministic workload, so it uses
-        // a fixed round budget per kernel instead of the wall-clock knobs.
-        println!(
-            "kernel-equivalence mode: fixed {EQUIV_ROUNDS}-round replay per kernel \
-             (--budget-ms and --target are ignored)\n"
-        );
-    }
     println!(
         "{:<40} {:>8} {:>9} {:>8} {:>8}",
         "file", "vars", "clauses", "unique", "status"
@@ -153,107 +124,54 @@ fn main() {
                 continue;
             }
         };
-        let sampler_config = |kernel: KernelChoice| SamplerConfig {
+        let sampler_config = SamplerConfig {
             batch_size: 128,
             backend: Backend::Threads(config.threads),
-            kernel,
             ..SamplerConfig::default()
         };
-        let build = |kernel: KernelChoice| GdSampler::new(&cnf, sampler_config(kernel));
-        let report_transform_error = |e: &dyn std::fmt::Display| {
-            println!(
-                "{name:<40} {:>8} {:>9} {:>8} transform error: {e}",
-                cnf.num_vars(),
-                cnf.num_clauses(),
-                "-"
-            );
-        };
-        let (solutions, equiv_note) = match config.kernel {
-            KernelMode::Single(kernel) => {
-                let mut sampler = match build(kernel) {
-                    Ok(sampler) => sampler,
-                    Err(e) => {
-                        report_transform_error(&e);
-                        failures += 1;
-                        continue;
-                    }
-                };
-                let solutions: Vec<Vec<bool>> = sampler
-                    .stream()
-                    .with_timeout(config.budget)
-                    .take(config.target)
-                    .collect();
-                (solutions, None)
-            }
-            KernelMode::Both => {
-                // Kernel-equivalence replay: a fixed round budget (no
-                // wall-clock cutoff, so the comparison is deterministic)
-                // through both execution forms; the fused flat kernel must
-                // emit the identical solution sequence as the reference
-                // circuit, row for row.
-                let run = |kernel: KernelChoice| -> Result<Vec<Vec<bool>>, String> {
-                    let mut sampler = build(kernel).map_err(|e| e.to_string())?;
-                    let mut sequence = Vec::new();
-                    for _ in 0..EQUIV_ROUNDS {
-                        sequence.extend(sampler.sample_round());
-                    }
-                    Ok(sequence)
-                };
-                match (run(KernelChoice::Flat), run(KernelChoice::Reference)) {
-                    (Ok(flat), Ok(reference)) => {
-                        if flat == reference {
-                            (flat, Some("kernels agree".to_string()))
-                        } else {
-                            failures += 1;
-                            // Point the investigator at the first divergent
-                            // row, not just the sequence lengths.
-                            let first_diff = flat
-                                .iter()
-                                .zip(reference.iter())
-                                .position(|(a, b)| a != b)
-                                .unwrap_or_else(|| flat.len().min(reference.len()));
-                            let note = format!(
-                                "KERNEL MISMATCH: flat {} vs reference {} rows, \
-                                 first divergence at row {first_diff}",
-                                flat.len(),
-                                reference.len()
-                            );
-                            (flat, Some(note))
-                        }
-                    }
-                    (Err(e), _) | (_, Err(e)) => {
-                        report_transform_error(&e);
-                        failures += 1;
-                        continue;
-                    }
-                }
+        let mut sampler = match GdSampler::new(&cnf, sampler_config) {
+            Ok(sampler) => sampler,
+            Err(e) => {
+                println!(
+                    "{name:<40} {:>8} {:>9} {:>8} transform error: {e}",
+                    cnf.num_vars(),
+                    cnf.num_clauses(),
+                    "-"
+                );
+                failures += 1;
+                continue;
             }
         };
+        let oracle = kernel_oracle(
+            &compile(sampler.transform_result()),
+            sampler.config().learning_rate,
+        );
+        let solutions: Vec<Vec<bool>> = sampler
+            .stream()
+            .with_timeout(config.budget)
+            .take(config.target)
+            .collect();
         let invalid = solutions
             .iter()
             .filter(|s| !cnf.is_satisfied_by_bits(s))
             .count();
-        // An invalid-sample failure must not hide a kernel-equivalence
-        // failure (or vice versa): report both.
+        // An invalid-sample failure must not hide a kernel-oracle failure
+        // (or vice versa): report both.
         let mut notes: Vec<String> = Vec::new();
+        if let Some(row) = oracle {
+            failures += 1;
+            notes.push(format!("KERNEL MISMATCH: fused vs reference at row {row}"));
+        }
         if invalid > 0 {
             failures += 1;
             notes.push(format!("{invalid} INVALID samples"));
         }
-        notes.extend(equiv_note);
         let status = if notes.is_empty() {
             "ok".to_string()
         } else {
             notes.join("; ")
         };
-        // In `both` mode the rows come straight from sample_round and may
-        // repeat; count distinct solutions so the summary's "unique" label
-        // stays accurate in every mode (the streaming path is already
-        // deduplicated).
-        let unique = solutions
-            .iter()
-            .collect::<std::collections::HashSet<_>>()
-            .len();
+        let unique = solutions.len();
         total_solutions += unique;
         println!(
             "{name:<40} {:>8} {:>9} {:>8} {status}",

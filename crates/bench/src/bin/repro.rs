@@ -3,7 +3,7 @@
 //!
 //! ```sh
 //! cargo run --release -p htsat-bench --bin repro -- table2
-//! cargo run --release -p htsat-bench --bin repro -- table2 --threads 8 --stream
+//! cargo run --release -p htsat-bench --bin repro -- table2 --threads 8
 //! cargo run --release -p htsat-bench --bin repro -- fig2 --instances 20
 //! cargo run --release -p htsat-bench --bin repro -- threads --counts 1,2,4,8
 //! cargo run --release -p htsat-bench --bin repro -- all --scale paper --timeout 30
@@ -59,14 +59,12 @@ use std::path::{Path, PathBuf};
 fn run_table2(options: &RunOptions) {
     println!("== Table II: unique-solution throughput (solutions/second) ==");
     println!(
-        "   target {} unique solutions, timeout {:?}, batch {}, scale {:?}, backend {}, kernel {:?}{}\n",
+        "   target {} unique solutions, timeout {:?}, batch {}, scale {:?}, backend {}\n",
         options.target,
         options.timeout,
         options.batch_size,
         options.scale,
-        options.gd_backend().label(),
-        options.kernel,
-        if options.stream { ", streaming" } else { "" }
+        options.gd_backend().label()
     );
     let rows = table2(options);
     print!("{}", format_table2(&rows));

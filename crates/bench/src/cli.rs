@@ -10,7 +10,6 @@
 
 use crate::harness::{BenchConfig, DiffOptions};
 use crate::RunOptions;
-use htsat_core::KernelChoice;
 use htsat_instances::suite::SuiteScale;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -132,23 +131,13 @@ const SUBCOMMANDS: &[(&str, &[&str])] = &[
     ("trace", TRACE_FLAGS),
 ];
 
-const RUN_FLAGS: &[&str] = &[
-    "--scale",
-    "--target",
-    "--timeout",
-    "--batch",
-    "--threads",
-    "--stream",
-    "--kernel",
-];
+const RUN_FLAGS: &[&str] = &["--scale", "--target", "--timeout", "--batch", "--threads"];
 const FIG2_FLAGS: &[&str] = &[
     "--scale",
     "--target",
     "--timeout",
     "--batch",
     "--threads",
-    "--stream",
-    "--kernel",
     "--instances",
 ];
 const THREADS_FLAGS: &[&str] = &[
@@ -157,8 +146,6 @@ const THREADS_FLAGS: &[&str] = &[
     "--timeout",
     "--batch",
     "--threads",
-    "--stream",
-    "--kernel",
     "--counts",
     "--out",
 ];
@@ -168,8 +155,6 @@ const SERVE_BENCH_FLAGS: &[&str] = &[
     "--timeout",
     "--batch",
     "--threads",
-    "--stream",
-    "--kernel",
     "--out",
     "--router",
 ];
@@ -290,10 +275,6 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Command, String> 
         }
         // Flags without a value.
         match arg.as_str() {
-            "--stream" => {
-                options.stream = true;
-                continue;
-            }
             "--quick" => {
                 quick = true;
                 continue;
@@ -351,13 +332,6 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Command, String> 
                         .parse()
                         .map_err(|e| format!("invalid --threads: {e}"))?,
                 );
-            }
-            "--kernel" => {
-                options.kernel = match value.as_str() {
-                    "flat" => KernelChoice::Flat,
-                    "reference" => KernelChoice::Reference,
-                    other => return Err(format!("unknown kernel `{other}`")),
-                };
             }
             "--instances" => {
                 fig2_instances = value
@@ -616,7 +590,7 @@ mod tests {
             err.contains("`table2` does not accept `--instances`"),
             "{err}"
         );
-        assert!(err.contains("--kernel"), "lists valid flags: {err}");
+        assert!(err.contains("--threads"), "lists valid flags: {err}");
         assert!(!err.contains("--instances,"), "{err}");
 
         // `--counts` belongs to threads/bench, not fig2.

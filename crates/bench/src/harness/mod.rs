@@ -291,7 +291,7 @@ pub fn run_bench_with(
 
 /// One timed run of one cell, through the same measurement loop as the
 /// Table II reproduction (preparation inside the window, target cut-off,
-/// timeout). The GD engine gets the harness batch/kernel options installed
+/// timeout). The GD engine gets the harness batch option installed
 /// as its session template; baselines prepare from the CNF alone.
 fn run_cell(
     instance: &Instance,

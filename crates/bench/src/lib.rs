@@ -33,9 +33,10 @@ pub mod cli;
 pub mod harness;
 
 use htsat_baselines::engine_by_name;
+use htsat_core::compile::CompiledCircuit;
 use htsat_core::{
-    transform, GdSampler, KernelChoice, PreparedFormula, SampleEngine, SamplerConfig,
-    SessionConfig, TransformConfig, TransformError,
+    transform, GdSampler, PreparedFormula, SampleEngine, SamplerConfig, SessionConfig,
+    TransformConfig, TransformError,
 };
 use htsat_instances::suite::{full_suite, table2_instances, SuiteScale};
 use htsat_instances::Instance;
@@ -57,15 +58,6 @@ pub struct RunOptions {
     /// pool to the machine, `Some(n)` pins it, `None` uses the default
     /// backend (also auto-sized).
     pub threads: Option<usize>,
-    /// Historical flag: the harness used to switch the GD sampler between
-    /// the blocking `sample` call and the streaming API. Since the engine
-    /// redesign *every* sampler is collected through the one streaming
-    /// service ([`SampleEngine::stream`]), so this no longer changes the
-    /// measurement; retained for CLI compatibility.
-    pub stream: bool,
-    /// Execution form of the gradient-descent inner loop: the fused flat
-    /// kernel (default) or the staged reference circuit.
-    pub kernel: KernelChoice,
 }
 
 impl Default for RunOptions {
@@ -76,8 +68,6 @@ impl Default for RunOptions {
             timeout: Duration::from_secs(3),
             batch_size: 512,
             threads: None,
-            stream: false,
-            kernel: KernelChoice::default(),
         }
     }
 }
@@ -129,13 +119,12 @@ fn gd_config(options: &RunOptions, backend: Backend) -> SamplerConfig {
     SamplerConfig {
         batch_size: options.batch_size,
         backend,
-        kernel: options.kernel,
         ..SamplerConfig::default()
     }
 }
 
 /// Prepares the paper's sampler as a [`SampleEngine`] with the harness
-/// options (batch size, kernel choice) installed as the session template.
+/// options (batch size) installed as the session template.
 pub(crate) fn gd_engine(
     instance: &Instance,
     options: &RunOptions,
@@ -750,6 +739,60 @@ fn drive_wire_legs(
     (instance.name, legs, deterministic, client)
 }
 
+/// Rows the kernel oracle replays.
+const ORACLE_ROWS: usize = 8;
+
+/// Descent iterations the kernel oracle replays per row (the paper's 5).
+const ORACLE_ITERATIONS: usize = 5;
+
+/// Row-level oracle for the sampler's fused inner loop: replays 8
+/// deterministic logit rows for 5 descent steps through
+/// [`htsat_tensor::FlatKernel::fused_gd_step`] and, independently, through
+/// the staged composition on the reference [`htsat_tensor::SoftCircuit`]
+/// (embed with [`ops::embed_logit`], loss and input gradient with
+/// `loss_and_grad_single`, chain rule through
+/// [`ops::sigmoid_grad_from_output`], descend). After every iteration the
+/// losses and logits of both must agree bit for bit.
+///
+/// Returns the first row whose loss or logits diverge, or `None` when the
+/// two forms agree everywhere.
+///
+/// [`ops::embed_logit`]: htsat_tensor::ops::embed_logit
+/// [`ops::sigmoid_grad_from_output`]: htsat_tensor::ops::sigmoid_grad_from_output
+pub fn kernel_oracle(compiled: &CompiledCircuit, learning_rate: f32) -> Option<usize> {
+    use htsat_tensor::ops;
+    let n = compiled.num_inputs();
+    let mut workspace = compiled.kernel.workspace();
+    let mut probs = vec![0.0f32; n];
+    let mut grad = vec![0.0f32; n];
+    (0..ORACLE_ROWS).find(|&row| {
+        // Logits spread over the sampler's default initialisation range.
+        let init: Vec<f32> = (0..n)
+            .map(|j| ((row * 31 + j * 7) % 41) as f32 / 10.0 - 2.0)
+            .collect();
+        let mut fused = init.clone();
+        let mut staged = init;
+        (0..ORACLE_ITERATIONS).any(|_| {
+            let fused_loss =
+                compiled
+                    .kernel
+                    .fused_gd_step(&mut fused, learning_rate, &mut workspace);
+            for (p, &v) in probs.iter_mut().zip(&staged) {
+                *p = ops::embed_logit(v);
+            }
+            let staged_loss = compiled.circuit.loss_and_grad_single(&probs, &mut grad);
+            for ((v, &g), &p) in staged.iter_mut().zip(&grad).zip(&probs) {
+                *v -= learning_rate * (g * ops::sigmoid_grad_from_output(p));
+            }
+            fused_loss.to_bits() != staged_loss.to_bits()
+                || fused
+                    .iter()
+                    .zip(&staged)
+                    .any(|(a, b)| a.to_bits() != b.to_bits())
+        })
+    })
+}
+
 /// Formats the Table II rows as a text table.
 pub fn format_table2(rows: &[Table2Row]) -> String {
     let mut out = String::new();
@@ -802,31 +845,7 @@ mod tests {
             timeout: Duration::from_millis(500),
             batch_size: 64,
             threads: None,
-            stream: false,
-            kernel: KernelChoice::default(),
         }
-    }
-
-    #[test]
-    fn flat_and_reference_kernel_options_find_identical_unique_counts() {
-        let instance = htsat_instances::suite::table2_instance("90-10-10-q", SuiteScale::Small)
-            .expect("exists");
-        // A tight target both kernels reach within their first round, so
-        // the wall-clock timeout never truncates either run and the unique
-        // counts (target + the final round's deterministic surplus) must
-        // match exactly — the kernels are bit-identical.
-        let flat = RunOptions {
-            target: 5,
-            ..quick_options()
-        };
-        let reference = RunOptions {
-            kernel: KernelChoice::Reference,
-            ..flat
-        };
-        let a = run_gd(&instance, &flat, flat.gd_backend());
-        let b = run_gd(&instance, &reference, reference.gd_backend());
-        assert!(a.unique >= 5);
-        assert_eq!(a.unique, b.unique);
     }
 
     #[test]
@@ -856,15 +875,14 @@ mod tests {
     fn streaming_and_blocking_paths_find_solutions() {
         let instance = htsat_instances::suite::table2_instance("90-10-10-q", SuiteScale::Small)
             .expect("exists");
-        let blocking = quick_options();
-        let streaming = RunOptions {
-            stream: true,
-            ..blocking
-        };
-        let a = run_gd(&instance, &blocking, blocking.gd_backend());
-        let b = run_gd(&instance, &streaming, streaming.gd_backend());
-        assert!(a.unique > 0);
-        assert!(b.unique > 0);
+        let options = quick_options();
+        let streamed = run_gd(&instance, &options, options.gd_backend());
+        let config = gd_config(&options, options.gd_backend());
+        let blocking = GdSampler::new(&instance.cnf, config)
+            .expect("build")
+            .sample(options.target, options.timeout);
+        assert!(streamed.unique > 0);
+        assert!(!blocking.solutions.is_empty());
     }
 
     #[test]

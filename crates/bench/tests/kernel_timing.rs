@@ -1,22 +1,23 @@
-//! Opt-in diagnostic: per-GD-iteration cost of the flat versus reference
-//! kernel, isolated via the iteration-count slope of `sample_round` (the
+//! Opt-in timing diagnostics for the GD inner loop: the forward/backward
+//! split and the fused-versus-staged step cost of the flat kernel against
+//! the reference circuit, and the per-iteration cost of the sampler's
+//! round, isolated via the iteration-count slope of `sample_round` (the
 //! init and hardening stages are iteration-independent, so
 //! `(t(hi) - t(lo)) / (hi - lo)` is the pure inner-loop cost).
 //!
 //! Run with:
 //! `cargo test --release -p htsat-bench --test kernel_timing -- --ignored --nocapture`
 
-use htsat_core::{GdSampler, KernelChoice, SamplerConfig};
+use htsat_core::{GdSampler, SamplerConfig};
 use htsat_instances::suite::{table2_instance, SuiteScale};
 use htsat_tensor::Backend;
 use std::time::Instant;
 
-fn round_time_ms(cnf: &htsat_cnf::Cnf, kernel: KernelChoice, iterations: usize) -> f64 {
+fn round_time_ms(cnf: &htsat_cnf::Cnf, iterations: usize) -> f64 {
     let config = SamplerConfig {
         batch_size: 512,
         iterations,
         backend: Backend::Sequential,
-        kernel,
         ..SamplerConfig::default()
     };
     let mut sampler = GdSampler::new(cnf, config).expect("build");
@@ -145,14 +146,9 @@ fn per_iteration_kernel_cost() {
     for name in ["90-10-10-q", "s15850a_15_7", "Prod-32"] {
         let instance = table2_instance(name, SuiteScale::Small).expect("known instance");
         let (lo, hi) = (1usize, 9usize);
-        for kernel in [KernelChoice::Flat, KernelChoice::Reference] {
-            let t_lo = round_time_ms(&instance.cnf, kernel, lo);
-            let t_hi = round_time_ms(&instance.cnf, kernel, hi);
-            let slope = (t_hi - t_lo) / (hi - lo) as f64;
-            println!(
-                "{name:<18} {kernel:?}: t({lo})={t_lo:.2}ms t({hi})={t_hi:.2}ms \
-                 -> {slope:.3} ms/iteration"
-            );
-        }
+        let t_lo = round_time_ms(&instance.cnf, lo);
+        let t_hi = round_time_ms(&instance.cnf, hi);
+        let slope = (t_hi - t_lo) / (hi - lo) as f64;
+        println!("{name:<18} t({lo})={t_lo:.2}ms t({hi})={t_hi:.2}ms -> {slope:.3} ms/iteration");
     }
 }

@@ -67,5 +67,5 @@ pub mod transform;
 pub use engine::{BoxedSession, EngineStream, SampleEngine, SessionConfig};
 pub use error::TransformError;
 pub use htsat_runtime::{SampleStream, StopToken, StreamStats};
-pub use sampler::{GdSampler, KernelChoice, PreparedFormula, SampleReport, SamplerConfig};
+pub use sampler::{GdSampler, PreparedFormula, SampleReport, SamplerConfig};
 pub use transform::{transform, TransformConfig, TransformResult, TransformStats, VarClass};

@@ -2,20 +2,20 @@
 //!
 //! The sampler reproduces the training loop of the paper: a batch of input
 //! logits `V ∈ R^{b×n}` is embedded into probabilities with a clamped
-//! sigmoid ([`ops::embed_logit`]), the probabilistic circuit maps them to
-//! output probabilities, an ℓ2 loss against the constrained targets is
-//! minimised with plain gradient descent (learning rate 10, five iterations
-//! by default), the logits are hardened to bits, validated against the
-//! *original* CNF and deduplicated.
+//! sigmoid ([`htsat_tensor::ops::embed_logit`]), the probabilistic circuit
+//! maps them to output probabilities, an ℓ2 loss against the constrained
+//! targets is minimised with plain gradient descent (learning rate 10,
+//! five iterations by default), the logits are hardened to bits, validated
+//! against the *original* CNF and deduplicated.
 //!
-//! By default the inner loop runs on the fused
-//! [`htsat_tensor::FlatKernel`]: embedding, forward, backward, chain rule
-//! and the descent update execute as one pass per row over a flat circuit
-//! layout, writing into per-worker [`htsat_tensor::Workspace`]s and
-//! updating the persistent logit matrix in place — zero allocations per
-//! row. [`KernelChoice::Reference`] selects the stage-by-stage
-//! [`htsat_tensor::SoftCircuit`] baseline, which computes the identical
-//! math (bit for bit) and exists to verify the kernel.
+//! The inner loop runs on the fused [`htsat_tensor::FlatKernel`]:
+//! embedding, forward, backward, chain rule and the descent update execute
+//! as one pass per row over a flat circuit layout, writing into per-worker
+//! [`htsat_tensor::Workspace`]s and updating the persistent logit matrix in
+//! place — zero allocations per row. The stage-by-stage
+//! [`htsat_tensor::SoftCircuit`] computes the identical math (bit for bit)
+//! and serves as the row-level oracle the kernel is checked against
+//! (`htsat_bench::kernel_oracle`).
 //!
 //! The primary consumption API is **streaming**: [`GdSampler::stream`]
 //! returns a [`SampleStream`] — a lazy `Iterator` of unique solutions that
@@ -35,34 +35,12 @@ use crate::transform::{transform_with_config, TransformConfig, TransformResult};
 use crate::TransformError;
 use htsat_cnf::{Cnf, Var};
 use htsat_runtime::{derive_stream_seed, RoundSource, SampleStream, StopToken};
-use htsat_tensor::{ops, Backend, BatchMatrix, MemoryModel};
+use htsat_tensor::{Backend, BatchMatrix, MemoryModel};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Which execution form of the compiled circuit the gradient-descent inner
-/// loop runs on.
-///
-/// Both forms compute the identical math — the flat kernel replicates the
-/// reference implementation operation for operation, so for the same seed
-/// they produce the identical solution sequence (asserted by tests and the
-/// CI corpus-equivalence step). The choice only affects speed and memory
-/// traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelChoice {
-    /// The fused allocation-free [`htsat_tensor::FlatKernel`] path:
-    /// sigmoid embedding, forward, backward, chain rule and the descent
-    /// update in one pass per row, out of per-worker workspaces. The
-    /// default.
-    #[default]
-    Flat,
-    /// The [`htsat_tensor::SoftCircuit`] reference path: one pass per
-    /// stage, with a probability-matrix clone per iteration. Kept as the
-    /// auditable baseline the flat kernel is verified against.
-    Reference,
-}
 
 /// Configuration of the gradient-descent sampler.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,9 +60,6 @@ pub struct SamplerConfig {
     /// Scale of the uniform logit initialisation `V ~ U(-s, s)`. Must be
     /// positive and finite.
     pub init_scale: f32,
-    /// Execution form of the inner loop: the fused flat kernel (default)
-    /// or the reference circuit.
-    pub kernel: KernelChoice,
     /// Options forwarded to the CNF-to-circuit transformation.
     pub transform: TransformConfig,
 }
@@ -98,7 +73,6 @@ impl Default for SamplerConfig {
             backend: Backend::default(),
             seed: 0,
             init_scale: 2.0,
-            kernel: KernelChoice::default(),
             transform: TransformConfig::default(),
         }
     }
@@ -214,7 +188,8 @@ impl PreparedFormula {
     /// Sets the [`SamplerConfig`] template that
     /// [`SampleEngine::session`](crate::SampleEngine::session) mints from,
     /// for GD-specific knobs the generic [`crate::SessionConfig`] does not
-    /// carry (kernel choice, iterations, learning rate, default batch).
+    /// carry (iterations, learning rate, initialisation scale, default
+    /// batch).
     ///
     /// `template.transform` is overwritten with the configuration the
     /// artifacts were actually prepared with (see
@@ -252,17 +227,10 @@ impl PreparedFormula {
         self.compiled.circuit.num_nodes()
     }
 
-    /// Widest gate fan-in of the compiled kernel (sizes workspace scratch).
-    pub fn max_fanin(&self) -> usize {
-        self.compiled.kernel.max_fanin()
-    }
-
     /// Memory model of a sampling round at `batch` rows over `workers`
     /// pool workers — the quantity a serving registry budgets by.
     pub fn memory_model(&self, batch: usize, workers: usize) -> MemoryModel {
-        MemoryModel::new(self.num_inputs(), self.num_nodes(), batch)
-            .with_workers(workers)
-            .with_max_fanin(self.max_fanin())
+        memory_model(&self.compiled, batch, workers)
     }
 
     /// Builds a sampler from the prepared artifacts, skipping the
@@ -323,6 +291,15 @@ impl crate::SampleEngine for PreparedFormula {
     fn artifact_dims(&self) -> Vec<(&'static str, usize)> {
         vec![("inputs", self.num_inputs()), ("nodes", self.num_nodes())]
     }
+}
+
+/// The buffer model of one sampling round over `compiled` at `batch` rows
+/// and `workers` pool workers: the persistent logit matrix plus one
+/// workspace per worker.
+fn memory_model(compiled: &CompiledCircuit, batch: usize, workers: usize) -> MemoryModel {
+    MemoryModel::new(compiled.num_inputs(), compiled.circuit.num_nodes(), batch)
+        .with_workers(workers)
+        .with_max_fanin(compiled.kernel.max_fanin())
 }
 
 /// Rejects run-time configurations that would poison or panic the sampling
@@ -425,31 +402,15 @@ impl GdSampler {
         &self.config
     }
 
-    /// Memory model of one sampling round at the configured batch size — the
-    /// quantity plotted in the paper's Fig. 3 (right), under the
-    /// workspace-based buffer model (persistent logits per batch row,
-    /// one workspace per pool worker).
-    pub fn memory_model(&self) -> MemoryModel {
-        self.memory_model_for_batch(self.config.batch_size)
-    }
-
-    /// Memory model at an arbitrary batch size. Reflects the configured
-    /// [`KernelChoice`]: the staged reference path keeps two extra
-    /// `[batch, inputs]` matrices resident per iteration (the cloned
-    /// probabilities and the gradient matrix) that the fused path does not.
+    /// Memory model of one sampling round at `batch` rows over the
+    /// configured backend's workers — the quantity plotted in the paper's
+    /// Fig. 3 (right); the same model as [`PreparedFormula::memory_model`].
     pub fn memory_model_for_batch(&self, batch: usize) -> MemoryModel {
-        let staged = match self.config.kernel {
-            KernelChoice::Flat => 0,
-            KernelChoice::Reference => 2,
-        };
-        MemoryModel::new(
-            self.compiled.num_inputs(),
-            self.compiled.circuit.num_nodes(),
+        memory_model(
+            &self.compiled,
             batch,
+            self.config.backend.effective_threads(),
         )
-        .with_workers(self.config.backend.effective_threads())
-        .with_max_fanin(self.compiled.kernel.max_fanin())
-        .with_staged_matrices(staged)
     }
 
     /// Runs one gradient-descent round and returns the valid (but not
@@ -481,58 +442,29 @@ impl GdSampler {
 
         let iterations = self.config.iterations;
         let learning_rate = self.config.learning_rate;
-        match self.config.kernel {
-            KernelChoice::Flat => {
-                // The fused hot path: one parallel region runs every row's
-                // whole gradient-descent trajectory (rows are independent),
-                // each worker reusing one preallocated workspace. The kernel
-                // embeds, evaluates, differentiates and descends in a single
-                // pass per iteration with zero allocations per row.
-                let kernel = &self.compiled.kernel;
-                backend.for_each_row_with(
-                    logits.as_mut_slice(),
-                    n,
-                    || kernel.workspace(),
-                    |_, row, ws| {
-                        let mut loss = 0.0;
-                        for _ in 0..iterations {
-                            if stop.is_stopped() {
-                                break;
-                            }
-                            loss = kernel.fused_gd_step(row, learning_rate, ws);
-                        }
-                        loss
-                    },
-                );
-                if stop.is_stopped() {
-                    return Vec::new();
-                }
-            }
-            KernelChoice::Reference => {
-                // The auditable baseline: the same math in one pass per
-                // stage over the whole batch. Kept for verification; the
-                // flat path above must match it bit for bit.
+        // The fused hot path: one parallel region runs every row's whole
+        // gradient-descent trajectory (rows are independent), each worker
+        // reusing one preallocated workspace. The kernel embeds, evaluates,
+        // differentiates and descends in a single pass per iteration with
+        // zero allocations per row.
+        let kernel = &self.compiled.kernel;
+        backend.for_each_row_with(
+            logits.as_mut_slice(),
+            n,
+            || kernel.workspace(),
+            |_, row, ws| {
+                let mut loss = 0.0;
                 for _ in 0..iterations {
                     if stop.is_stopped() {
-                        return Vec::new();
+                        break;
                     }
-                    // Continuous embedding: P = clamp(σ(V)).
-                    let mut probs = logits.clone();
-                    probs.map_inplace(ops::embed_logit);
-                    let (_loss, grad_p) =
-                        self.compiled.circuit.loss_and_input_grads(&probs, backend);
-                    // Chain rule through the sigmoid: dL/dV = dL/dP · σ'(P).
-                    let mut grad_v = grad_p;
-                    for (g, &p) in grad_v
-                        .as_mut_slice()
-                        .iter_mut()
-                        .zip(probs.as_slice().iter())
-                    {
-                        *g *= ops::sigmoid_grad_from_output(p);
-                    }
-                    logits.saxpy_neg(learning_rate, &grad_v);
+                    loss = kernel.fused_gd_step(row, learning_rate, ws);
                 }
-            }
+                loss
+            },
+        );
+        if stop.is_stopped() {
+            return Vec::new();
         }
         let logits = &self.logits;
 
@@ -764,31 +696,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_and_reference_kernels_produce_identical_solution_sequences() {
-        let cnf = mux_constrained_cnf();
-        for backend in [Backend::Sequential, Backend::Threads(2)] {
-            let run = |kernel: KernelChoice| {
-                let config = SamplerConfig {
-                    batch_size: 64,
-                    backend,
-                    kernel,
-                    ..SamplerConfig::default()
-                };
-                let mut sampler = GdSampler::new(&cnf, config).expect("build");
-                let mut rounds = Vec::new();
-                for _ in 0..3 {
-                    rounds.push(sampler.sample_round());
-                }
-                rounds
-            };
-            let flat = run(KernelChoice::Flat);
-            let reference = run(KernelChoice::Reference);
-            assert_eq!(flat, reference, "backend {backend:?}");
-            assert!(flat.iter().any(|round| !round.is_empty()));
-        }
-    }
-
-    #[test]
     fn throughput_is_finite_when_elapsed_rounds_to_zero() {
         let report = SampleReport {
             solutions: vec![vec![true]; 5],
@@ -811,6 +718,16 @@ mod tests {
         let small = sampler.memory_model_for_batch(100).total_bytes();
         let large = sampler.memory_model_for_batch(10_000).total_bytes();
         assert!(large > small);
+        // The sampler and the prepared formula budget by one formula.
+        let prepared =
+            PreparedFormula::prepare(&cnf, &TransformConfig::default()).expect("prepare");
+        let workers = sampler.config().backend.effective_threads();
+        for batch in [100, 10_000] {
+            assert_eq!(
+                sampler.memory_model_for_batch(batch),
+                prepared.memory_model(batch, workers)
+            );
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use htsat_serve::proto::{
     ok_response, request_id, ErrorCode, LoadSource, ProtoError, Request, DEFAULT_ENGINE,
     DEFAULT_REGISTER_TTL_MS, PROTOCOL_MAX, PROTOCOL_V1, PROTOCOL_V2,
 };
-use htsat_serve::ConnectOptions;
+use htsat_serve::{dial, ConnectOptions};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -106,47 +106,6 @@ impl LineReader {
     }
 }
 
-/// Dials `addr` with the configured per-attempt timeout, retrying
-/// `ECONNREFUSED` with exponential backoff (the daemon-startup race);
-/// other errors fail immediately. The router-side sibling of
-/// `Client::connect_with`.
-fn dial_with_retry(addr: &str, options: &ConnectOptions) -> std::io::Result<TcpStream> {
-    use std::net::ToSocketAddrs;
-    let targets: Vec<std::net::SocketAddr> = addr.to_socket_addrs()?.collect();
-    if targets.is_empty() {
-        return Err(std::io::Error::new(
-            ErrorKind::InvalidInput,
-            format!("{addr} resolved to no address"),
-        ));
-    }
-    let mut backoff = options.initial_backoff;
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        let mut refused = false;
-        let mut last = None;
-        for target in &targets {
-            let result = match options.connect_timeout {
-                Some(timeout) => TcpStream::connect_timeout(target, timeout),
-                None => TcpStream::connect(target),
-            };
-            match result {
-                Ok(stream) => return Ok(stream),
-                Err(e) => {
-                    refused |= e.kind() == ErrorKind::ConnectionRefused;
-                    last = Some(e);
-                }
-            }
-        }
-        let error = last.expect("at least one target was tried");
-        if !refused || attempt > options.refused_retries {
-            return Err(error);
-        }
-        std::thread::sleep(backoff);
-        backoff = (backoff * 2).min(options.max_backoff);
-    }
-}
-
 /// One v1 lockstep exchange with a backend on a fresh connection: send
 /// `line`, return the raw reply line.
 fn v1_exchange(
@@ -155,7 +114,7 @@ fn v1_exchange(
     options: &ConnectOptions,
     read_timeout: Option<Duration>,
 ) -> std::io::Result<String> {
-    let stream = dial_with_retry(addr, options)?;
+    let stream = dial(addr, options)?;
     let _ = stream.set_nodelay(true);
     stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     let mut writer = stream.try_clone()?;
@@ -1119,7 +1078,7 @@ fn ensure_conn(shared: &Arc<V2Shared>, addr: &str) -> std::io::Result<Arc<Backen
             return Ok(conn);
         }
     }
-    let stream = dial_with_retry(addr, &shared.state.config.dial)?;
+    let stream = dial(addr, &shared.state.config.dial)?;
     let _ = stream.set_nodelay(true);
     stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     let mut reader = LineReader::new(stream.try_clone()?)?;

@@ -78,7 +78,8 @@ impl From<JsonError> for ClientError {
     }
 }
 
-/// How [`Client::connect_with`] establishes the TCP connection.
+/// How [`dial`] (and so [`Client::connect_with`]) establishes the TCP
+/// connection.
 ///
 /// `ECONNREFUSED` gets special treatment because it is the signature of
 /// the daemon-startup race: the process exists but has not reached `bind`
@@ -107,6 +108,55 @@ impl Default for ConnectOptions {
             initial_backoff: Duration::from_millis(20),
             max_backoff: Duration::from_millis(500),
         }
+    }
+}
+
+/// Dials `addr` with the per-attempt timeout of `options`, retrying
+/// `ECONNREFUSED` with exponential backoff (see [`ConnectOptions`]). Every
+/// resolved address is tried before an attempt counts as failed (the usual
+/// multi-address case is localhost v4+v6). [`Client::connect_with`] and the
+/// router's backend dials both connect through it.
+///
+/// # Errors
+///
+/// Returns the last attempt's connect error once the retry budget is
+/// spent, or immediately for errors retrying cannot fix (unresolvable
+/// address, unreachable network, timeout).
+pub fn dial<A: ToSocketAddrs>(addr: A, options: &ConnectOptions) -> std::io::Result<TcpStream> {
+    let addrs: Vec<std::net::SocketAddr> = addr.to_socket_addrs()?.collect();
+    if addrs.is_empty() {
+        return Err(std::io::Error::new(
+            ErrorKind::InvalidInput,
+            "address resolved to no socket addresses",
+        ));
+    }
+    let mut backoff = options.initial_backoff;
+    let mut attempt = 0;
+    loop {
+        attempt += 1;
+        let mut last_err: Option<std::io::Error> = None;
+        let mut refused = false;
+        for sock_addr in &addrs {
+            let result = match options.connect_timeout {
+                Some(timeout) => TcpStream::connect_timeout(sock_addr, timeout),
+                None => TcpStream::connect(sock_addr),
+            };
+            match result {
+                Ok(stream) => return Ok(stream),
+                Err(e) => {
+                    refused |= e.kind() == ErrorKind::ConnectionRefused;
+                    last_err = Some(e);
+                }
+            }
+        }
+        let err = last_err.expect("at least one address was tried");
+        // Only a refusal is the retryable startup race; other errors
+        // (unreachable, timeout) fail fast.
+        if !refused || attempt > options.refused_retries {
+            return Err(err);
+        }
+        std::thread::sleep(backoff);
+        backoff = (backoff * 2).min(options.max_backoff);
     }
 }
 
@@ -239,63 +289,19 @@ impl Client {
         Client::connect_with(addr, &ConnectOptions::default())
     }
 
-    /// Connects with an explicit per-attempt timeout and a bounded
-    /// retry-with-backoff on `ECONNREFUSED` (see [`ConnectOptions`]) — the
-    /// refusal window between a daemon's spawn and its `bind` no longer
-    /// fails the first client that races it.
+    /// Connects through [`dial`]: an explicit per-attempt timeout and a
+    /// bounded retry-with-backoff on `ECONNREFUSED`, so the refusal window
+    /// between a daemon's spawn and its `bind` does not fail the first
+    /// client that races it.
     ///
     /// # Errors
     ///
-    /// Returns the last attempt's connect error once the retry budget is
-    /// spent, or immediately for errors retrying cannot fix (unresolvable
-    /// address, unreachable network).
+    /// Returns [`dial`]'s error.
     pub fn connect_with<A: ToSocketAddrs>(
         addr: A,
         options: &ConnectOptions,
     ) -> Result<Client, ClientError> {
-        let addrs: Vec<std::net::SocketAddr> = addr.to_socket_addrs()?.collect();
-        if addrs.is_empty() {
-            return Err(ClientError::Io(std::io::Error::new(
-                ErrorKind::InvalidInput,
-                "address resolved to no socket addresses",
-            )));
-        }
-        let mut backoff = options.initial_backoff;
-        let mut attempt = 0;
-        let stream = loop {
-            attempt += 1;
-            // Try every resolved address before declaring the attempt
-            // failed (the usual multi-address case is localhost v4+v6).
-            let mut last_err: Option<std::io::Error> = None;
-            let mut refused = false;
-            let connected = addrs.iter().find_map(|sock_addr| {
-                let result = match options.connect_timeout {
-                    Some(timeout) => TcpStream::connect_timeout(sock_addr, timeout),
-                    None => TcpStream::connect(sock_addr),
-                };
-                match result {
-                    Ok(stream) => Some(stream),
-                    Err(e) => {
-                        refused |= e.kind() == ErrorKind::ConnectionRefused;
-                        last_err = Some(e);
-                        None
-                    }
-                }
-            });
-            match connected {
-                Some(stream) => break stream,
-                None => {
-                    let err = last_err.expect("at least one address was tried");
-                    // Only a refusal is the retryable startup race; other
-                    // errors (unreachable, timeout) fail fast.
-                    if !refused || attempt > options.refused_retries {
-                        return Err(ClientError::Io(err));
-                    }
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(options.max_backoff);
-                }
-            }
-        };
+        let stream = dial(addr, options)?;
         stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Client {
@@ -1039,5 +1045,50 @@ impl Iterator for SampleStream<'_> {
                 Some(Err(e))
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::time::Instant;
+
+    /// A loopback port nothing listens on (bound once, then released).
+    fn closed_port() -> u16 {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.local_addr().expect("addr").port()
+    }
+
+    #[test]
+    fn dial_gives_up_on_a_closed_port_after_the_refused_retries() {
+        let options = ConnectOptions {
+            connect_timeout: Some(Duration::from_secs(1)),
+            refused_retries: 2,
+            initial_backoff: Duration::from_millis(200),
+            max_backoff: Duration::from_secs(10),
+        };
+        let started = Instant::now();
+        let err = dial(("127.0.0.1", closed_port()), &options).expect_err("nothing listens");
+        let elapsed = started.elapsed();
+        assert_eq!(err.kind(), ErrorKind::ConnectionRefused);
+        // Three attempts sleep 200 + 400 ms between them; a fourth would
+        // add another 800 ms.
+        assert!(elapsed >= Duration::from_millis(600), "{elapsed:?}");
+        assert!(elapsed < Duration::from_millis(1400), "{elapsed:?}");
+    }
+
+    #[test]
+    fn dial_reaches_a_listener_bound_during_the_backoff() {
+        let port = closed_port();
+        let late = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            let listener = TcpListener::bind(("127.0.0.1", port)).expect("late bind");
+            listener.accept().expect("accept").1
+        });
+        // Defaults: 5 refused retries backing off 20 ms → 320 ms.
+        let stream = dial(("127.0.0.1", port), &ConnectOptions::default()).expect("dial");
+        let peer = late.join().expect("listener thread");
+        assert_eq!(stream.local_addr().expect("local addr"), peer);
     }
 }

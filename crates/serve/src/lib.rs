@@ -82,7 +82,7 @@ mod session;
 
 pub use cache::CompileCache;
 pub use client::{
-    Client, ClientError, ConnectOptions, LoadReply, SampleDone, SampleEvent, SampleReply,
+    dial, Client, ClientError, ConnectOptions, LoadReply, SampleDone, SampleEvent, SampleReply,
     SampleStream, SubEvent,
 };
 pub use proto::ErrorCode;

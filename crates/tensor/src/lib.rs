@@ -20,7 +20,6 @@
 //!   CSR-style flat layout, executing the sampler's fused
 //!   sigmoid + forward + backward + descent step with zero allocations per
 //!   row out of reusable per-worker workspaces,
-//! * [`Sgd`] / [`Adam`] — optimizers updating the input logits,
 //! * [`Backend`] — `Sequential` (the paper's CPU baseline), `Threads(n)`
 //!   (the [`htsat_runtime`] thread pool across the batch, standing in for
 //!   the GPU) or `DataParallel` (the rayon API, kept for compatibility),
@@ -52,11 +51,9 @@ mod flat;
 mod matrix;
 mod memory;
 pub mod ops;
-mod optim;
 
 pub use backend::Backend;
 pub use circuit::{NodeIdx, SoftCircuit, SoftGate, SoftNode};
 pub use flat::{FlatKernel, Workspace};
 pub use matrix::BatchMatrix;
 pub use memory::MemoryModel;
-pub use optim::{Adam, Optimizer, Sgd};

@@ -33,8 +33,11 @@ pub struct MemoryModel {
     /// Widest gate fan-in (sizes the per-workspace gather scratch).
     pub max_fanin: usize,
     /// Extra `[batch, inputs]` f32 matrices resident during a step — 0 for
-    /// the fused flat kernel; 2 for the staged reference path (the cloned
-    /// probability matrix and the gradient matrix).
+    /// the fused flat kernel; 2 for a staged batched [`SoftCircuit`] pass
+    /// such as the DiffSampler baseline (the cloned probability matrix and
+    /// the gradient matrix).
+    ///
+    /// [`SoftCircuit`]: crate::SoftCircuit
     pub staged_matrices: usize,
 }
 
@@ -69,7 +72,7 @@ impl MemoryModel {
     }
 
     /// Sets how many extra `[batch, inputs]` matrices the execution form
-    /// keeps resident (0 = fused flat kernel, 2 = staged reference path).
+    /// keeps resident (0 = fused flat kernel, 2 = staged batched pass).
     #[must_use]
     pub fn with_staged_matrices(mut self, staged_matrices: usize) -> Self {
         self.staged_matrices = staged_matrices;

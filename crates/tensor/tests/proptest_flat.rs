@@ -112,7 +112,7 @@ proptest! {
         let learning_rate = 10.0f32;
 
         // Staged reference: embed, loss+grad, chain rule, descend — the
-        // sampler's KernelChoice::Reference path for one row.
+        // composition the kernel oracle replays for one row.
         let probs: Vec<f32> = logits.iter().map(|&v| ops::embed_logit(v)).collect();
         let mut grad_p = vec![0.0f32; NUM_INPUTS];
         let ref_loss = circuit.loss_and_grad_single(&probs, &mut grad_p);
