@@ -208,21 +208,24 @@ impl DiscoveryMap {
     }
 }
 
+/// 64-bit FNV-1a over `bytes`.
+#[must_use]
+pub fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x100_0000_01b3;
+    bytes.into_iter().fold(FNV_OFFSET, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
+    })
+}
+
 /// The deterministic weight of one (backend, fingerprint, engine) triple:
-/// 64-bit FNV-1a over the three components with separators. Every router
+/// [`fnv1a64`] over the three components with separators. Every router
 /// computes the same weights, so a fleet of routers agrees on shard
 /// ownership without coordination.
 #[must_use]
 pub fn rendezvous_weight(addr: &str, fingerprint_hex: &str, engine: &str) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x1000_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    for part in [addr, "\u{1f}", fingerprint_hex, "\u{1f}", engine] {
-        for byte in part.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    }
+    let parts = [addr, "\u{1f}", fingerprint_hex, "\u{1f}", engine];
+    let mut hash = fnv1a64(parts.iter().flat_map(|part| part.bytes()));
     // One final avalanche round so near-identical addresses ("…:7001" vs
     // "…:7002") do not produce correlated weights.
     hash ^= hash >> 33;
@@ -237,6 +240,13 @@ mod tests {
 
     fn keys(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("{i:032x}")).collect()
+    }
+
+    #[test]
+    fn fnv1a64_matches_the_reference_vectors() {
+        assert_eq!(fnv1a64("".bytes()), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64("a".bytes()), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64("foobar".bytes()), 0x8594_4171_f739_67e8);
     }
 
     #[test]

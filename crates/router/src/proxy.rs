@@ -11,128 +11,30 @@
 //! patches the one field and re-encodes in place (field order preserved).
 
 use crate::server::RouterState;
+use htsat_cnf::Fingerprint;
 use htsat_json::Json;
 use htsat_obs::trace::{TraceFilter, TraceReport};
-use htsat_obs::Snapshot;
+use htsat_obs::{Snapshot, TraceId};
 use htsat_runtime::StopToken;
+use htsat_serve::conn::{self, LineReader, RequestLine, FRAME_QUEUE_DEPTH};
+use htsat_serve::dial;
 use htsat_serve::proto::{
     encode_u64_exact, error_response, frame_error, frame_feed_error, frame_from_response,
-    ok_response, request_id, ErrorCode, LoadSource, ProtoError, Request, DEFAULT_ENGINE,
-    DEFAULT_REGISTER_TTL_MS, PROTOCOL_MAX, PROTOCOL_V1, PROTOCOL_V2,
+    frame_traced, ok_response, request_id, ErrorCode, LoadSource, Request, DEFAULT_ENGINE,
+    DEFAULT_REGISTER_TTL_MS, PROTOCOL_V2,
 };
-use htsat_serve::{dial, ConnectOptions};
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-
-/// How often blocked reads wake up to poll stop flags.
-const READ_POLL: Duration = Duration::from_millis(50);
-
-/// Reject lines longer than this instead of buffering without bound.
-const MAX_LINE_BYTES: usize = 64 * 1024 * 1024;
-
-/// Socket write timeout towards clients and backends.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+use std::time::Duration;
 
 /// How long a backend gets to answer the router's `HELLO`.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Read timeout of one aggregation exchange per backend.
 const AGGREGATE_IO_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Depth of the per-client outbound frame queue. Backend readers block on
-/// a full queue, which propagates client-side backpressure upstream.
-const FRAME_QUEUE_DEPTH: usize = 64;
-
-// ---------------------------------------------------------------------------
-// Line reading
-// ---------------------------------------------------------------------------
-
-/// A stop-aware newline-delimited reader (the socket carries a short read
-/// timeout so blocked reads can poll the stop flags).
-struct LineReader {
-    stream: TcpStream,
-    pending: Vec<u8>,
-    scanned: usize,
-}
-
-impl LineReader {
-    fn new(stream: TcpStream) -> std::io::Result<LineReader> {
-        stream.set_read_timeout(Some(READ_POLL))?;
-        Ok(LineReader {
-            stream,
-            pending: Vec::new(),
-            scanned: 0,
-        })
-    }
-
-    /// The next complete line (without its terminator), or `None` on EOF,
-    /// stop, overflow, invalid UTF-8, a passed deadline, or a socket
-    /// error.
-    fn next_line(&mut self, stop: &StopToken, deadline: Option<Instant>) -> Option<String> {
-        loop {
-            if let Some(pos) = self.pending[self.scanned..]
-                .iter()
-                .position(|&b| b == b'\n')
-            {
-                let end = self.scanned + pos;
-                let mut line: Vec<u8> = self.pending.drain(..=end).collect();
-                self.scanned = 0;
-                line.pop(); // the newline
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                return String::from_utf8(line).ok();
-            }
-            self.scanned = self.pending.len();
-            if self.pending.len() > MAX_LINE_BYTES || stop.is_stopped() {
-                return None;
-            }
-            if deadline.is_some_and(|at| Instant::now() >= at) {
-                return None;
-            }
-            let mut buf = [0u8; 64 * 1024];
-            match self.stream.read(&mut buf) {
-                Ok(0) => return None,
-                Ok(n) => self.pending.extend_from_slice(&buf[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-                Err(_) => return None,
-            }
-        }
-    }
-}
-
-/// One v1 lockstep exchange with a backend on a fresh connection: send
-/// `line`, return the raw reply line.
-fn v1_exchange(
-    addr: &str,
-    line: &str,
-    options: &ConnectOptions,
-    read_timeout: Option<Duration>,
-) -> std::io::Result<String> {
-    let stream = dial(addr, options)?;
-    let _ = stream.set_nodelay(true);
-    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
-    let mut writer = stream.try_clone()?;
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    let mut reader = LineReader::new(stream)?;
-    let deadline = read_timeout.map(|t| Instant::now() + t);
-    reader
-        .next_line(&StopToken::new(), deadline)
-        .ok_or_else(|| {
-            std::io::Error::new(ErrorKind::UnexpectedEof, format!("{addr} closed mid-reply"))
-        })
-}
-
-/// The engine name a request shards under.
-fn engine_of(engine: &Option<String>) -> &str {
-    engine.as_deref().unwrap_or(DEFAULT_ENGINE)
-}
 
 /// Decodes a `sub` field that may travel as a number or a decimal string.
 fn field_sub(msg: &Json) -> Option<u64> {
@@ -159,12 +61,35 @@ fn with_sub(mut msg: Json, sub: u64) -> Json {
 // Routing decisions
 // ---------------------------------------------------------------------------
 
-/// What to forward for a `LOAD`: the wire line (rewritten to inline DIMACS
-/// for router-side path loads), the shard fingerprint and the engine.
-struct LoadRoute {
+/// A formula-addressed request on its way to a shard owner: everything
+/// needed to (re-)dispatch it down the rendezvous ranking.
+#[derive(Clone)]
+struct Forward {
+    /// The forwarded wire line.
     line: String,
+    /// Shard key: fingerprint and engine.
     fingerprint_hex: String,
     engine: String,
+    /// The client's trace id, echoed on frames the router composes for
+    /// this request (the backend echoes it on its own).
+    trace: Option<TraceId>,
+}
+
+impl Forward {
+    /// Forwards `line` verbatim, sharded by (`fingerprint`, `engine`).
+    fn verbatim(
+        line: &str,
+        fingerprint: &Fingerprint,
+        engine: &Option<String>,
+        trace: Option<TraceId>,
+    ) -> Forward {
+        Forward {
+            line: line.to_string(),
+            fingerprint_hex: fingerprint.to_hex(),
+            engine: engine.as_deref().unwrap_or(DEFAULT_ENGINE).to_string(),
+            trace,
+        }
+    }
 }
 
 /// Computes a `LOAD`'s shard key (and, for path loads, the inline
@@ -177,7 +102,7 @@ fn route_load(
     msg: &Json,
     engine: &Option<String>,
     source: &LoadSource,
-) -> Result<LoadRoute, (ErrorCode, String)> {
+) -> Result<Forward, (ErrorCode, String)> {
     let (text, rewrite) = match source {
         LoadSource::Inline(text) => (text.clone(), false),
         LoadSource::Path(path) => {
@@ -190,7 +115,7 @@ fn route_load(
             }
             match std::fs::read_to_string(path) {
                 Ok(text) => (text, true),
-                Err(e) => return Err((ErrorCode::Io, format!("cannot read {path}: {e}"))),
+                Err(e) => return Err((ErrorCode::Io, format!("cannot read `{path}`: {e}"))),
             }
         }
     };
@@ -200,8 +125,8 @@ fn route_load(
             format!("DIMACS parse error: {e}"),
         )
     })?;
-    let fingerprint_hex = htsat_cnf::Fingerprint::of(&cnf).to_hex();
-    let line = if rewrite {
+    let mut forward = Forward::verbatim(raw, &Fingerprint::of(&cnf), engine, None);
+    if rewrite {
         // Swap `path` for the inline text; every other field (id, name,
         // engine, trace) is carried through untouched.
         let Json::Obj(pairs) = msg else {
@@ -217,15 +142,9 @@ fn route_load(
                 }
             })
             .collect();
-        Json::Obj(rewritten).encode()
-    } else {
-        raw.to_string()
-    };
-    Ok(LoadRoute {
-        line,
-        fingerprint_hex,
-        engine: engine_of(engine).to_string(),
-    })
+        forward.line = Json::Obj(rewritten).encode();
+    }
+    Ok(forward)
 }
 
 // ---------------------------------------------------------------------------
@@ -241,12 +160,9 @@ fn poll_backends(state: &RouterState, line: &str) -> Vec<(String, std::io::Resul
         .live()
         .into_iter()
         .map(|addr| {
-            let result = v1_exchange(&addr, line, &state.config.dial, Some(AGGREGATE_IO_TIMEOUT))
-                .and_then(|reply| {
-                    Json::parse(&reply).map_err(|e| {
-                        std::io::Error::new(ErrorKind::InvalidData, format!("bad reply: {e}"))
-                    })
-                });
+            let timeout = Some(AGGREGATE_IO_TIMEOUT);
+            let result = conn::v1_exchange(&addr, line, &state.config.dial, &state.stop, timeout)
+                .and_then(|reply| conn::parse_reply(&reply));
             match &result {
                 Ok(_) => state.discovery.record_success(&addr),
                 Err(e) => {
@@ -512,24 +428,20 @@ fn handle_register(state: &RouterState, addr: &str, ttl_ms: Option<u64>) -> Json
 
 /// Forwards one v1 request line to the shard owner, failing over down the
 /// rendezvous ranking. Returns the raw reply line to relay.
-fn forward_unary_v1(
-    state: &RouterState,
-    fingerprint_hex: &str,
-    engine: &str,
-    line: &str,
-) -> String {
-    let ranked = state.discovery.ranked(fingerprint_hex, engine);
+fn forward_unary_v1(state: &RouterState, forward: &Forward) -> String {
+    let ranked = state
+        .discovery
+        .ranked(&forward.fingerprint_hex, &forward.engine);
     if ranked.is_empty() {
-        return error_response(
-            ErrorCode::NoBackend,
-            "no live backend (register daemons with --register, or seed --backend)",
-        )
-        .encode();
+        return error_response(ErrorCode::NoBackend, NO_LIVE_BACKEND).encode();
     }
     for addr in &ranked {
         state.discovery.record_dispatch(addr);
         htsat_obs::counter!("router.forward.dispatched").inc();
-        let result = v1_exchange(addr, line, &state.config.dial, None);
+        // Not the router's stop token: aborting a relayed v1 reply at
+        // shutdown would be misread as a backend failure.
+        let never = StopToken::new();
+        let result = conn::v1_exchange(addr, &forward.line, &state.config.dial, &never, None);
         state.discovery.record_done(addr);
         match result {
             Ok(reply) => {
@@ -543,121 +455,92 @@ fn forward_unary_v1(
             }
         }
     }
-    error_response(ErrorCode::NoBackend, "every candidate backend failed").encode()
+    error_response(ErrorCode::NoBackend, EVERY_CANDIDATE_FAILED).encode()
 }
+
+/// The `no-backend` message when the shard has no live candidate.
+const NO_LIVE_BACKEND: &str =
+    "no live backend (register daemons with --register, or seed --backend)";
+
+/// The `no-backend` message when every candidate failed the dispatch.
+const EVERY_CANDIDATE_FAILED: &str = "every candidate backend failed";
 
 /// Serves one client connection. Starts in v1 lockstep; a `HELLO`
 /// negotiating v2 hands the rest of the connection to [`session_v2`].
 pub(crate) fn session(stream: TcpStream, state: &Arc<RouterState>) {
-    let _ = stream.set_nodelay(true);
-    if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
+    state.connections_served.fetch_add(1, Ordering::Relaxed);
+    htsat_obs::counter!("router.connections.total").inc();
+    let Ok((mut writer, mut reader)) = conn::split(stream) else {
         return;
-    }
-    let Ok(reader_stream) = stream.try_clone() else {
-        return;
-    };
-    let Ok(mut reader) = LineReader::new(reader_stream) else {
-        return;
-    };
-    let mut writer = stream;
-    let mut write_line = move |text: &str| -> bool {
-        writer.write_all(text.as_bytes()).is_ok() && writer.write_all(b"\n").is_ok()
     };
     while let Some(line) = reader.next_line(&state.stop, None) {
         if line.trim().is_empty() {
             continue;
         }
-        let msg = match Json::parse(&line) {
-            Ok(msg) => msg,
-            Err(e) => {
-                let response = error_response(ErrorCode::BadJson, &format!("invalid JSON: {e}"));
-                if !write_line(&response.encode()) {
+        let reply = match conn::decode_v1(&line) {
+            Err(response) => response.encode(),
+            Ok(RequestLine {
+                request: Request::Hello { version },
+                ..
+            }) => {
+                let (response, upgrade) = conn::hello_reply(version);
+                if upgrade {
+                    if conn::write_line(&mut writer, response.encode()).is_ok() {
+                        session_v2(reader, writer, state);
+                    }
                     return;
                 }
-                continue;
+                response.encode()
             }
-        };
-        let request = match Request::decode(&msg) {
-            Ok(request) => request,
-            Err(ProtoError(e)) => {
-                let response = error_response(ErrorCode::BadRequest, &e);
-                if !write_line(&response.encode()) {
-                    return;
-                }
-                continue;
-            }
-        };
-        let reply: String = match request {
-            Request::Hello { version } => match version {
-                PROTOCOL_V1 | PROTOCOL_V2 => {
-                    let response = ok_response(vec![
-                        ("version", version.into()),
-                        ("max_version", PROTOCOL_MAX.into()),
-                    ]);
-                    if !write_line(&response.encode()) {
-                        return;
-                    }
-                    if version == PROTOCOL_V2 {
-                        return session_v2(reader, write_line, state);
-                    }
-                    continue;
-                }
-                other => error_response(
-                    ErrorCode::BadRequest,
-                    &format!(
-                        "unsupported protocol version {other} (supported: \
-                         {PROTOCOL_V1}..={PROTOCOL_MAX})"
-                    ),
-                )
-                .encode(),
-            },
-            Request::Register { addr, ttl_ms } => handle_register(state, &addr, ttl_ms).encode(),
-            Request::Status => aggregate_status(state).encode(),
-            Request::Stats { reset } => aggregate_stats(state, reset).encode(),
-            Request::Trace { last, verb, min_ms } => {
-                aggregate_trace(state, last, verb, min_ms).encode()
-            }
-            Request::Evict {
-                fingerprint,
-                engine,
-            } => broadcast_evict(state, fingerprint, engine).encode(),
-            Request::Shutdown => {
-                let response = broadcast_shutdown(state);
-                let _ = write_line(&response.encode());
+            Ok(RequestLine {
+                request: Request::Shutdown,
+                ..
+            }) => {
+                let _ = conn::write_line(&mut writer, broadcast_shutdown(state).encode());
                 state.stop.stop();
                 return;
             }
-            Request::Load {
-                ref engine,
-                ref source,
-                ..
-            } => match route_load(state, &line, &msg, engine, source) {
-                Ok(route) => {
-                    htsat_obs::counter!("router.requests.load").inc();
-                    forward_unary_v1(state, &route.fingerprint_hex, &route.engine, &route.line)
-                }
-                Err((code, message)) => error_response(code, &message).encode(),
-            },
-            Request::Sample(ref params) => {
-                htsat_obs::counter!("router.requests.sample").inc();
-                forward_unary_v1(
-                    state,
-                    &params.fingerprint.to_hex(),
-                    engine_of(&params.engine),
-                    &line,
-                )
-            }
-            Request::Subscribe(_) | Request::Credit { .. } | Request::Unsubscribe { .. } => {
-                error_response(
-                    ErrorCode::BadRequest,
-                    "subscriptions need protocol v2 (negotiate with hello)",
-                )
-                .encode()
-            }
+            Ok(decoded) => answer_v1(state, &line, &decoded),
         };
-        if !write_line(&reply) {
+        if conn::write_line(&mut writer, reply).is_err() {
             return;
         }
+    }
+}
+
+/// The v1 reply line to one decoded request other than `HELLO` and
+/// `SHUTDOWN` (which change the session itself).
+fn answer_v1(state: &RouterState, line: &str, decoded: &RequestLine) -> String {
+    match &decoded.request {
+        Request::Register { addr, ttl_ms } => handle_register(state, addr, *ttl_ms).encode(),
+        Request::Status => aggregate_status(state).encode(),
+        Request::Stats { reset } => aggregate_stats(state, *reset).encode(),
+        Request::Trace { last, verb, min_ms } => {
+            aggregate_trace(state, *last, verb.clone(), *min_ms).encode()
+        }
+        Request::Evict {
+            fingerprint,
+            engine,
+        } => broadcast_evict(state, *fingerprint, engine.clone()).encode(),
+        Request::Load { engine, source, .. } => {
+            match route_load(state, line, &decoded.msg, engine, source) {
+                Ok(forward) => {
+                    htsat_obs::counter!("router.requests.load").inc();
+                    forward_unary_v1(state, &forward)
+                }
+                Err((code, message)) => error_response(code, &message).encode(),
+            }
+        }
+        Request::Sample(params) => {
+            htsat_obs::counter!("router.requests.sample").inc();
+            let forward = Forward::verbatim(line, &params.fingerprint, &params.engine, None);
+            forward_unary_v1(state, &forward)
+        }
+        request
+        @ (Request::Subscribe(_) | Request::Credit { .. } | Request::Unsubscribe { .. }) => {
+            conn::v2_only(request).encode()
+        }
+        Request::Hello { .. } | Request::Shutdown => unreachable!("answered by the session"),
     }
 }
 
@@ -669,11 +552,8 @@ pub(crate) fn session(stream: TcpStream, state: &Arc<RouterState>) {
 struct Inflight {
     /// Backend the request went to.
     backend: String,
-    /// The forwarded wire line, kept for transparent re-dispatch.
-    line: String,
-    /// Shard key, for re-ranking on failover.
-    fingerprint_hex: String,
-    engine: String,
+    /// The request, kept for transparent re-dispatch.
+    forward: Forward,
     /// Whether any output frame reached the client (once it has, the
     /// request cannot be silently re-routed).
     relayed: bool,
@@ -697,10 +577,8 @@ struct BackendConn {
 }
 
 impl BackendConn {
-    fn write_line(&self, line: &str) -> std::io::Result<()> {
-        let mut stream = self.writer.lock().expect("backend writer lock");
-        stream.write_all(line.as_bytes())?;
-        stream.write_all(b"\n")
+    fn write_line(&self, line: String) -> std::io::Result<()> {
+        conn::write_line(&mut *self.writer.lock().expect("backend writer lock"), line)
     }
 
     /// Closes the socket so the paired reader thread unblocks.
@@ -732,17 +610,16 @@ impl V2Shared {
         let _ = self.tx.send(line);
     }
 
-    fn send_frame(&self, frame: Json) {
-        self.send_raw(frame.encode());
+    /// Queues a frame the router composed, echoing the request's trace id
+    /// (`None` for untraced requests and feed-addressed frames).
+    fn send_frame(&self, frame: Json, trace: Option<TraceId>) {
+        self.send_raw(frame_traced(frame, trace).encode());
     }
 }
 
-/// Serves the v2 half of a connection. `write_line` is the lockstep
-/// writer inherited from the v1 phase; it moves into the writer thread.
-fn session_v2<W>(mut reader: LineReader, mut write_line: W, state: &Arc<RouterState>)
-where
-    W: FnMut(&str) -> bool + Send + 'static,
-{
+/// Serves the v2 half of a connection; `writer` moves into the writer
+/// thread, the only place the client socket is written from now on.
+fn session_v2(mut reader: LineReader, writer: TcpStream, state: &Arc<RouterState>) {
     let (tx, rx) = std::sync::mpsc::sync_channel::<String>(FRAME_QUEUE_DEPTH);
     let shared = Arc::new(V2Shared {
         state: state.clone(),
@@ -755,9 +632,7 @@ where
     let writer_stop = shared.stop.clone();
     let writer = std::thread::Builder::new()
         .name("htsat-router-writer".to_string())
-        .spawn(move || {
-            writer_loop(&rx, &mut write_line, &writer_stop);
-        })
+        .spawn(move || writer_loop(&rx, writer, &writer_stop))
         .expect("spawn writer thread");
     while let Some(line) = reader.next_line(&state.stop, None) {
         if shared.stop.is_stopped() {
@@ -788,14 +663,11 @@ where
 }
 
 /// Drains the frame queue to the client until the queue closes or a write
-/// fails.
-fn writer_loop<W: FnMut(&str) -> bool>(
-    rx: &Receiver<String>,
-    write_line: &mut W,
-    stop: &StopToken,
-) {
+/// fails. Unlike the daemon's writer it records no `serve.*` metrics, so a
+/// fleet-wide `STATS` merge never counts a frame twice.
+fn writer_loop(rx: &Receiver<String>, mut writer: TcpStream, stop: &StopToken) {
     while let Ok(line) = rx.recv() {
-        if !write_line(&line) {
+        if conn::write_line(&mut writer, line).is_err() {
             stop.stop();
             return;
         }
@@ -805,56 +677,26 @@ fn writer_loop<W: FnMut(&str) -> bool>(
 /// Handles one client line in v2. Returns `false` to end the session.
 fn v2_handle_line(shared: &Arc<V2Shared>, line: &str) -> bool {
     let state = &shared.state;
-    let msg = match Json::parse(line) {
-        Ok(msg) => msg,
-        Err(e) => {
-            shared.send_frame(frame_error(
-                None,
-                ErrorCode::BadJson,
-                &format!("invalid JSON: {e}"),
-            ));
+    let (id, decoded) = match conn::decode_v2(line) {
+        Ok(decoded) => decoded,
+        Err(frame) => {
+            shared.send_frame(frame, None);
             return true;
         }
     };
-    let id = match request_id(&msg) {
-        Ok(Some(id)) => id,
-        Ok(None) => {
-            shared.send_frame(frame_error(
-                None,
-                ErrorCode::BadRequest,
-                "v2 requests must carry `id`",
-            ));
-            return true;
-        }
-        Err(ProtoError(e)) => {
-            shared.send_frame(frame_error(None, ErrorCode::BadRequest, &e));
-            return true;
-        }
-    };
-    let request = match Request::decode(&msg) {
-        Ok(request) => request,
-        Err(ProtoError(e)) => {
-            shared.send_frame(frame_error(Some(id), ErrorCode::BadRequest, &e));
-            return true;
-        }
-    };
-    match request {
-        Request::Hello { .. } => {
-            shared.send_frame(frame_error(
-                Some(id),
-                ErrorCode::BadRequest,
-                "protocol version already negotiated",
-            ));
-        }
+    let trace = decoded.trace;
+    match &decoded.request {
+        Request::Hello { .. } => shared.send_frame(conn::hello_again(id), trace),
         Request::Register { addr, ttl_ms } => {
-            let response = handle_register(state, &addr, ttl_ms);
-            shared.send_frame(frame_from_response(id, &response));
+            let response = handle_register(state, addr, *ttl_ms);
+            shared.send_frame(frame_from_response(id, &response), trace);
         }
         Request::Status | Request::Stats { .. } | Request::Trace { .. } | Request::Evict { .. } => {
             // Aggregation dials every backend (bounded by the aggregate
             // timeout) — run it off the reader thread so pipelined
             // streams keep flowing.
             let worker = shared.clone();
+            let request = decoded.request;
             let _ = std::thread::Builder::new()
                 .name("htsat-router-aggregate".to_string())
                 .spawn(move || {
@@ -870,65 +712,39 @@ fn v2_handle_line(shared: &Arc<V2Shared>, line: &str) -> bool {
                         } => broadcast_evict(&worker.state, fingerprint, engine),
                         _ => unreachable!("matched above"),
                     };
-                    worker.send_frame(frame_from_response(id, &response));
+                    worker.send_frame(frame_from_response(id, &response), trace);
                 });
         }
         Request::Shutdown => {
             let response = broadcast_shutdown(state);
-            shared.send_frame(frame_from_response(id, &response));
+            shared.send_frame(frame_from_response(id, &response), trace);
             state.stop.stop();
             return false;
         }
-        Request::Load {
-            ref engine,
-            ref source,
-            ..
-        } => match route_load(state, line, &msg, engine, source) {
-            Ok(route) => {
-                htsat_obs::counter!("router.requests.load").inc();
-                dispatch_forward(
-                    shared,
-                    id,
-                    route.line,
-                    route.fingerprint_hex,
-                    route.engine,
-                    None,
-                );
+        Request::Load { engine, source, .. } => {
+            match route_load(state, line, &decoded.msg, engine, source) {
+                Ok(forward) => {
+                    htsat_obs::counter!("router.requests.load").inc();
+                    dispatch_forward(shared, id, Forward { trace, ..forward }, None);
+                }
+                Err((code, message)) => {
+                    shared.send_frame(frame_error(Some(id), code, &message), trace);
+                }
             }
-            Err((code, message)) => {
-                shared.send_frame(frame_error(Some(id), code, &message));
-            }
-        },
-        Request::Sample(ref params) => {
-            htsat_obs::counter!("router.requests.sample").inc();
-            dispatch_forward(
-                shared,
-                id,
-                line.to_string(),
-                params.fingerprint.to_hex(),
-                engine_of(&params.engine).to_string(),
-                None,
-            );
         }
-        Request::Subscribe(ref params) => {
+        Request::Sample(params) => {
+            htsat_obs::counter!("router.requests.sample").inc();
+            let forward = Forward::verbatim(line, &params.fingerprint, &params.engine, trace);
+            dispatch_forward(shared, id, forward, None);
+        }
+        Request::Subscribe(params) => {
             htsat_obs::counter!("router.requests.subscribe").inc();
-            dispatch_forward(
-                shared,
-                id,
-                line.to_string(),
-                params.fingerprint.to_hex(),
-                engine_of(&params.engine).to_string(),
-                None,
-            );
+            let forward = Forward::verbatim(line, &params.fingerprint, &params.engine, trace);
+            dispatch_forward(shared, id, forward, None);
         }
         Request::Credit { sub, .. } | Request::Unsubscribe { sub } => {
-            forward_sub_control(
-                shared,
-                id,
-                sub,
-                &msg,
-                matches!(request, Request::Unsubscribe { .. }),
-            );
+            let unsubscribe = matches!(decoded.request, Request::Unsubscribe { .. });
+            forward_sub_control(shared, id, *sub, &decoded, unsubscribe);
         }
     }
     true
@@ -936,7 +752,14 @@ fn v2_handle_line(shared: &Arc<V2Shared>, line: &str) -> bool {
 
 /// Forwards a `CREDIT`/`UNSUBSCRIBE` to the backend owning the feed,
 /// rewriting the router's `sub` back to the backend's own id.
-fn forward_sub_control(shared: &Arc<V2Shared>, id: u64, sub: u64, msg: &Json, unsubscribe: bool) {
+fn forward_sub_control(
+    shared: &Arc<V2Shared>,
+    id: u64,
+    sub: u64,
+    decoded: &RequestLine,
+    unsubscribe: bool,
+) {
+    let trace = decoded.trace;
     let target = {
         let mut subs = shared.subs.lock().expect("subs lock");
         let target = subs.by_router.get(&sub).cloned();
@@ -952,12 +775,15 @@ fn forward_sub_control(shared: &Arc<V2Shared>, id: u64, sub: u64, msg: &Json, un
         target
     };
     let Some((addr, backend_sub)) = target else {
-        shared.send_frame(frame_error(
-            Some(id),
-            ErrorCode::BadRequest,
-            &format!("unknown subscription `{sub}` (ended or never opened here)"),
-        ));
+        shared.send_frame(conn::unknown_sub(id, sub), trace);
         return;
+    };
+    let lost = || {
+        frame_error(
+            Some(id),
+            ErrorCode::BackendLost,
+            "the backend owning this subscription is gone",
+        )
     };
     let conn = shared
         .conns
@@ -966,21 +792,13 @@ fn forward_sub_control(shared: &Arc<V2Shared>, id: u64, sub: u64, msg: &Json, un
         .and_then(|map| map.get(&addr).cloned())
         .filter(|conn| conn.alive.load(Ordering::SeqCst));
     let Some(conn) = conn else {
-        shared.send_frame(frame_error(
-            Some(id),
-            ErrorCode::BackendLost,
-            "the backend owning this subscription is gone",
-        ));
+        shared.send_frame(lost(), trace);
         return;
     };
-    let rewritten = with_sub(msg.clone(), backend_sub).encode();
-    if conn.write_line(&rewritten).is_err() {
+    let rewritten = with_sub(decoded.msg.clone(), backend_sub).encode();
+    if conn.write_line(rewritten).is_err() {
         handle_backend_loss(shared, &conn);
-        shared.send_frame(frame_error(
-            Some(id),
-            ErrorCode::BackendLost,
-            "the backend owning this subscription is gone",
-        ));
+        shared.send_frame(lost(), trace);
     }
 }
 
@@ -988,37 +806,28 @@ fn forward_sub_control(shared: &Arc<V2Shared>, id: u64, sub: u64, msg: &Json, un
 /// candidate), registering it in the in-flight map *before* the line goes
 /// out so the backend reader can attribute every frame. `exclude` skips a
 /// backend that just died during transparent re-dispatch.
-fn dispatch_forward(
-    shared: &Arc<V2Shared>,
-    id: u64,
-    line: String,
-    fingerprint_hex: String,
-    engine: String,
-    exclude: Option<&str>,
-) {
+fn dispatch_forward(shared: &Arc<V2Shared>, id: u64, forward: Forward, exclude: Option<&str>) {
+    let trace = forward.trace;
+    if shared
+        .inflight
+        .lock()
+        .expect("inflight lock")
+        .contains_key(&id)
     {
-        let inflight = shared.inflight.lock().expect("inflight lock");
-        if inflight.contains_key(&id) {
-            drop(inflight);
-            shared.send_frame(frame_error(
-                Some(id),
-                ErrorCode::BadRequest,
-                &format!("duplicate in-flight id {id}"),
-            ));
-            return;
-        }
+        shared.send_frame(conn::duplicate_id(id), trace);
+        return;
     }
-    let ranked = shared.state.discovery.ranked(&fingerprint_hex, &engine);
+    let ranked = shared
+        .state
+        .discovery
+        .ranked(&forward.fingerprint_hex, &forward.engine);
     let candidates: Vec<&String> = ranked
         .iter()
         .filter(|addr| exclude.is_none_or(|dead| addr.as_str() != dead))
         .collect();
     if candidates.is_empty() {
-        shared.send_frame(frame_error(
-            Some(id),
-            ErrorCode::NoBackend,
-            "no live backend (register daemons with --register, or seed --backend)",
-        ));
+        let frame = frame_error(Some(id), ErrorCode::NoBackend, NO_LIVE_BACKEND);
+        shared.send_frame(frame, trace);
         return;
     }
     for addr in candidates {
@@ -1031,38 +840,28 @@ fn dispatch_forward(
                 continue;
             }
         };
-        {
-            let mut inflight = shared.inflight.lock().expect("inflight lock");
-            inflight.insert(
-                id,
-                Inflight {
-                    backend: addr.clone(),
-                    line: line.clone(),
-                    fingerprint_hex: fingerprint_hex.clone(),
-                    engine: engine.clone(),
-                    relayed: false,
-                },
-            );
-        }
+        let line = forward.line.clone();
+        shared.inflight.lock().expect("inflight lock").insert(
+            id,
+            Inflight {
+                backend: addr.clone(),
+                forward: forward.clone(),
+                relayed: false,
+            },
+        );
         shared.state.discovery.record_dispatch(addr);
         htsat_obs::counter!("router.forward.dispatched").inc();
-        if let Err(e) = conn.write_line(&line) {
+        if let Err(e) = conn.write_line(line) {
             htsat_obs::warn!("write to backend {addr} failed: {e}");
-            {
-                let mut inflight = shared.inflight.lock().expect("inflight lock");
-                inflight.remove(&id);
-            }
+            shared.inflight.lock().expect("inflight lock").remove(&id);
             shared.state.discovery.record_done(addr);
             handle_backend_loss(shared, &conn);
             continue;
         }
         return;
     }
-    shared.send_frame(frame_error(
-        Some(id),
-        ErrorCode::NoBackend,
-        "every candidate backend failed",
-    ));
+    let frame = frame_error(Some(id), ErrorCode::NoBackend, EVERY_CANDIDATE_FAILED);
+    shared.send_frame(frame, trace);
 }
 
 /// The session's upstream v2 connection to `addr`, dialing and
@@ -1078,36 +877,16 @@ fn ensure_conn(shared: &Arc<V2Shared>, addr: &str) -> std::io::Result<Arc<Backen
             return Ok(conn);
         }
     }
-    let stream = dial(addr, &shared.state.config.dial)?;
-    let _ = stream.set_nodelay(true);
-    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
-    let mut reader = LineReader::new(stream.try_clone()?)?;
+    let (mut stream, mut reader) = conn::split(dial(addr, &shared.state.config.dial)?)?;
     // Negotiate v2 with the backend (the reply is v1-framed).
     let hello = Request::Hello {
         version: PROTOCOL_V2,
     }
     .encode()
     .encode();
-    {
-        let mut writer = stream.try_clone()?;
-        writer.write_all(hello.as_bytes())?;
-        writer.write_all(b"\n")?;
-    }
-    let reply = reader
-        .next_line(&shared.stop, Some(Instant::now() + HANDSHAKE_TIMEOUT))
-        .ok_or_else(|| {
-            std::io::Error::new(ErrorKind::TimedOut, format!("{addr}: no hello reply"))
-        })?;
-    let accepted = Json::parse(&reply)
-        .ok()
-        .and_then(|msg| msg.get("ok").and_then(Json::as_bool))
-        == Some(true);
-    if !accepted {
-        return Err(std::io::Error::new(
-            ErrorKind::InvalidData,
-            format!("{addr} rejected the v2 handshake"),
-        ));
-    }
+    let timeout = Some(HANDSHAKE_TIMEOUT);
+    let reply = conn::exchange(&mut stream, &mut reader, &hello, &shared.stop, timeout)?;
+    conn::expect_ok(&reply)?;
     let conn = Arc::new(BackendConn {
         addr: addr.to_string(),
         writer: Mutex::new(stream),
@@ -1166,7 +945,7 @@ fn backend_reader(shared: &Arc<V2Shared>, conn: &Arc<BackendConn>, mut reader: L
                     subs.by_backend
                         .insert((conn.addr.clone(), backend_sub), router_sub);
                 }
-                shared.send_frame(with_sub(msg, router_sub));
+                shared.send_frame(with_sub(msg, router_sub), None);
             } else {
                 // Feed-addressed frame (`pushed`, feed `done`/`error`).
                 let router_sub = {
@@ -1182,7 +961,7 @@ fn backend_reader(shared: &Arc<V2Shared>, conn: &Arc<BackendConn>, mut reader: L
                     router_sub
                 };
                 if let Some(router_sub) = router_sub {
-                    shared.send_frame(with_sub(msg, router_sub));
+                    shared.send_frame(with_sub(msg, router_sub), None);
                 } // else: ended locally (e.g. just unsubscribed) — drop.
             }
             continue;
@@ -1261,30 +1040,25 @@ fn handle_backend_loss(shared: &Arc<V2Shared>, conn: &Arc<BackendConn>) {
         routers
     };
     for router_sub in lost_feeds {
-        shared.send_frame(frame_feed_error(
+        let frame = frame_feed_error(
             router_sub,
             ErrorCode::BackendLost,
             "the backend feeding this subscription is gone",
-        ));
+        );
+        shared.send_frame(frame, None);
     }
     for (id, entry) in orphaned {
         shared.state.discovery.record_done(&conn.addr);
         if entry.relayed {
-            shared.send_frame(frame_error(
+            let frame = frame_error(
                 Some(id),
                 ErrorCode::BackendLost,
                 "backend lost mid-stream; re-issue the request to re-route",
-            ));
+            );
+            shared.send_frame(frame, entry.forward.trace);
         } else {
             htsat_obs::counter!("router.forward.failovers").inc();
-            dispatch_forward(
-                shared,
-                id,
-                entry.line,
-                entry.fingerprint_hex,
-                entry.engine,
-                Some(&conn.addr),
-            );
+            dispatch_forward(shared, id, entry.forward, Some(&conn.addr));
         }
     }
 }

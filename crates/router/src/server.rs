@@ -3,15 +3,13 @@
 use crate::discovery::DiscoveryMap;
 use crate::proxy::session;
 use htsat_runtime::StopToken;
+use htsat_serve::conn;
 use htsat_serve::ConnectOptions;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How often the accept loop polls for new connections and the stop flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// Configuration of the router.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,7 +95,12 @@ pub fn route(config: RouterConfig) -> std::io::Result<RouterHandle> {
     let accept_state = state.clone();
     let accept = std::thread::Builder::new()
         .name("htsat-router-accept".to_string())
-        .spawn(move || accept_loop(&listener, &accept_state))
+        .spawn(move || {
+            let stop = accept_state.stop.clone();
+            conn::accept_loop(&listener, &stop, "htsat-router-session", move |stream| {
+                session(stream, &accept_state);
+            });
+        })
         .expect("spawn accept thread");
     Ok(RouterHandle {
         addr,
@@ -145,38 +148,5 @@ impl RouterHandle {
 impl Drop for RouterHandle {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Polls for connections until the stop flag is set, then drains sessions.
-fn accept_loop(listener: &TcpListener, state: &Arc<RouterState>) {
-    let mut sessions: Vec<JoinHandle<()>> = Vec::new();
-    while !state.stop.is_stopped() {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                state.connections_served.fetch_add(1, Ordering::Relaxed);
-                htsat_obs::counter!("router.connections.total").inc();
-                htsat_obs::debug!("connection accepted from {peer}");
-                let session_state = state.clone();
-                match std::thread::Builder::new()
-                    .name("htsat-router-session".to_string())
-                    .spawn(move || session(stream, &session_state))
-                {
-                    Ok(handle) => sessions.push(handle),
-                    Err(e) => htsat_obs::error!("cannot spawn session thread: {e}"),
-                }
-                sessions.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) => {
-                htsat_obs::error!("accept failed: {e}");
-                std::thread::sleep(ACCEPT_POLL);
-            }
-        }
-    }
-    for handle in sessions {
-        let _ = handle.join();
     }
 }

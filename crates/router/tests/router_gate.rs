@@ -506,3 +506,149 @@ fn shutdown_through_the_router_stops_the_whole_tree() {
         "the router stopped after the broadcast"
     );
 }
+
+/// A raw line-level connection, so reply bytes are compared exactly as
+/// they crossed the wire.
+struct RawConn {
+    writer: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl RawConn {
+    fn connect(addr: std::net::SocketAddr) -> RawConn {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        RawConn {
+            writer: stream.try_clone().expect("clone"),
+            reader: BufReader::new(stream),
+        }
+    }
+
+    fn send(&mut self, bytes: &[u8]) {
+        self.writer.write_all(bytes).expect("write");
+    }
+
+    /// The next reply line, terminator included.
+    fn reply(&mut self) -> String {
+        let mut line = String::new();
+        self.reader.read_line(&mut line).expect("read reply");
+        assert!(
+            line.ends_with('\n'),
+            "connection closed mid-reply: {line:?}"
+        );
+        line
+    }
+
+    fn ask(&mut self, line: &str) -> String {
+        self.send(format!("{line}\n").as_bytes());
+        self.reply()
+    }
+}
+
+/// Drives the malformed-line and per-connection-error script against
+/// `addr`, returning every reply line in order.
+fn malformed_line_transcript(addr: std::net::SocketAddr, tiny_hex: &str) -> Vec<String> {
+    let mut conn = RawConn::connect(addr);
+    let unloaded = "0123456789abcdef0123456789abcdef";
+    let mut replies = vec![
+        // v1 phase.
+        conn.ask("{not json"),
+        conn.ask(r#"{"cmd":"status","trace":"not-hex"}"#),
+        conn.ask(r#"{"cmd":"hello","version":9}"#),
+        conn.ask(r#"{"cmd":"hello","version":2}"#),
+        // v2 phase.
+        conn.ask("{not json"),
+        conn.ask(r#"{"cmd":"status"}"#),
+        conn.ask(r#"{"cmd":"status","id":"three"}"#),
+        conn.ask(r#"{"cmd":"status","id":3,"trace":"not-hex"}"#),
+        conn.ask(r#"{"cmd":"hello","id":4,"version":2}"#),
+    ];
+    // A CRLF-terminated, traced SAMPLE of a formula nobody loaded.
+    conn.send(
+        format!(
+            "{{\"cmd\":\"sample\",\"id\":5,\"fingerprint\":\"{unloaded}\",\"trace\":\"c0ffee\"}}\r\n"
+        )
+        .as_bytes(),
+    );
+    replies.push(conn.reply());
+    // A traced EVICT whose line is split by a pause longer than the read
+    // poll.
+    let split =
+        format!("{{\"cmd\":\"evict\",\"id\":6,\"fingerprint\":\"{unloaded}\",\"trace\":\"ab\"}}\n");
+    let (head, tail) = split.split_at(split.len() / 2);
+    conn.send(head.as_bytes());
+    std::thread::sleep(htsat_serve::conn::READ_POLL * 3);
+    conn.send(tail.as_bytes());
+    replies.push(conn.reply());
+    // A duplicate in-flight id: the first SAMPLE parks after TINY's three
+    // solutions (huge stale limit), so the second arrives while it is open.
+    let parked = format!(
+        "{{\"cmd\":\"sample\",\"id\":7,\"fingerprint\":\"{tiny_hex}\",\"n\":10,\"seed\":1,\
+         \"threads\":1,\"max_stale\":4000000000}}"
+    );
+    conn.send(format!("{parked}\n{parked}\n").as_bytes());
+    loop {
+        let line = conn.reply();
+        if !line.contains(r#""frame":"chunk""#) {
+            replies.push(line);
+            break;
+        }
+    }
+    replies
+}
+
+#[test]
+fn routed_error_frames_equal_direct_ones_byte_for_byte() {
+    let cache = temp_cache("malformed");
+    let router = route(RouterConfig::default()).expect("router");
+    let backend = start_backend(&router.local_addr().to_string(), &cache);
+    wait_for_backends(&router, 1);
+    let mut client = Client::connect(backend.local_addr()).expect("connect to backend");
+    let tiny_hex = client
+        .load_dimacs(Some("tiny"), TINY)
+        .expect("load tiny")
+        .fingerprint
+        .to_hex();
+
+    let direct = malformed_line_transcript(backend.local_addr(), &tiny_hex);
+    let routed = malformed_line_transcript(router.local_addr(), &tiny_hex);
+    assert_eq!(direct.len(), routed.len());
+    for (step, (direct, routed)) in direct.iter().zip(&routed).enumerate() {
+        assert_eq!(
+            direct, routed,
+            "reply {step} differs between daemon and router"
+        );
+    }
+
+    // The script really exercised the error paths it names.
+    let expect = [
+        (0, "invalid JSON"),
+        (1, "`trace` must be"),
+        (2, "unsupported protocol version 9"),
+        (3, r#""version":2"#),
+        (4, r#""frame":"error","id":null"#),
+        (5, "v2 requests need an `id`"),
+        (6, r#""id":null"#),
+        (7, "`trace` must be"),
+        (8, "protocol version already negotiated"),
+        (
+            9,
+            r#""code":"not-loaded","trace":"00000000000000000000000000c0ffee""#,
+        ),
+        (
+            10,
+            r#""evicted_count":0,"trace":"000000000000000000000000000000ab""#,
+        ),
+        (11, "duplicate in-flight `id` 7"),
+    ];
+    assert_eq!(direct.len(), expect.len());
+    for (step, needle) in expect {
+        assert!(
+            direct[step].contains(needle),
+            "reply {step} should contain {needle:?}: {}",
+            direct[step]
+        );
+    }
+}

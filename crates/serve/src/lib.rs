@@ -29,6 +29,9 @@
 //!   [`htsat_runtime::StopToken`]s grouped in a
 //!   [`htsat_runtime::StopSet`], and graceful shutdown (in-flight streams
 //!   cancelled, sessions drained).
+//! * [`conn`] — the connection core shared with `htsat-router`: the line
+//!   reader, accept loop, line writes, the v1 exchange and the request
+//!   prelude, so both servers answer malformed lines identically.
 //! * [`client`] — a blocking client used by tests, CI and
 //!   `repro serve-bench`.
 //!
@@ -73,6 +76,7 @@
 
 pub mod cache;
 pub mod client;
+pub mod conn;
 mod feed;
 pub use htsat_json as json;
 pub mod proto;

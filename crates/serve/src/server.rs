@@ -1,5 +1,7 @@
 //! The TCP daemon: accept loop, per-connection sessions, graceful shutdown.
 
+use crate::client::ConnectOptions;
+use crate::conn;
 use crate::feed::FeedRegistry;
 use crate::json::Json;
 use crate::proto::{
@@ -13,15 +15,11 @@ use htsat_cnf::dimacs;
 use htsat_core::{EngineStream, SessionConfig};
 use htsat_runtime::{StopSet, StopToken};
 use htsat_tensor::Backend;
-use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How often the accept loop polls for new connections and the stop flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// Configuration of the daemon.
 #[derive(Debug, Clone, PartialEq)]
@@ -139,7 +137,12 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
     let accept_state = state.clone();
     let accept = std::thread::Builder::new()
         .name("htsat-serve-accept".to_string())
-        .spawn(move || accept_loop(&listener, &accept_state))
+        .spawn(move || {
+            let stop = accept_state.stop.clone();
+            conn::accept_loop(&listener, &stop, "htsat-serve-session", move |stream| {
+                session(stream, &accept_state);
+            });
+        })
         .expect("spawn accept thread");
     let stats_logger = state.config.log_stats.map(|period| {
         let logger_state = state.clone();
@@ -173,8 +176,9 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
 /// re-registrations.
 const HEARTBEAT_POLL: Duration = Duration::from_millis(25);
 
-/// Socket timeout of one registration exchange: the router answers a
-/// `REGISTER` inline, so anything slower than this is as good as down.
+/// Connect timeout and reply deadline of one registration exchange: the
+/// router answers a `REGISTER` inline, so anything slower than this is as
+/// good as down.
 const REGISTER_IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Announces the daemon to `router` every TTL/3 until the daemon stops.
@@ -187,7 +191,7 @@ fn heartbeat_loop(state: &Arc<ServerState>, router: &str, advertise: &str) {
     while !state.stop.is_stopped() {
         if Instant::now() >= next {
             next = Instant::now() + period;
-            match register_once(router, advertise) {
+            match register_once(router, advertise, &state.stop) {
                 Ok(()) => {
                     htsat_obs::counter!("serve.register.sent").inc();
                     if !announced {
@@ -210,33 +214,21 @@ fn heartbeat_loop(state: &Arc<ServerState>, router: &str, advertise: &str) {
     }
 }
 
-/// One registration exchange: dial, send `REGISTER`, require `ok:true`.
-fn register_once(router: &str, advertise: &str) -> std::io::Result<()> {
-    use std::io::{BufRead, BufReader, Write};
-    let stream = TcpStream::connect(router)?;
-    let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(Some(REGISTER_IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(REGISTER_IO_TIMEOUT))?;
+/// One registration exchange: dial, send `REGISTER`, require `ok:true` —
+/// bounded by [`REGISTER_IO_TIMEOUT`] and abandoned when the daemon stops.
+fn register_once(router: &str, advertise: &str, stop: &StopToken) -> std::io::Result<()> {
+    let options = ConnectOptions {
+        connect_timeout: Some(REGISTER_IO_TIMEOUT),
+        refused_retries: 0,
+        ..ConnectOptions::default()
+    };
     let request = Request::Register {
         addr: advertise.to_string(),
         ttl_ms: Some(DEFAULT_REGISTER_TTL_MS),
     };
-    let mut writer = stream.try_clone()?;
-    writer.write_all(request.encode().encode().as_bytes())?;
-    writer.write_all(b"\n")?;
-    let mut reply = String::new();
-    BufReader::new(stream).read_line(&mut reply)?;
-    let msg = Json::parse(&reply)
-        .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, format!("bad reply: {e}")))?;
-    if msg.get("ok").and_then(Json::as_bool) == Some(true) {
-        Ok(())
-    } else {
-        let detail = msg
-            .get("error")
-            .and_then(Json::as_str)
-            .unwrap_or("registration rejected");
-        Err(std::io::Error::other(detail.to_string()))
-    }
+    let line = request.encode().encode();
+    let reply = conn::v1_exchange(router, &line, &options, stop, Some(REGISTER_IO_TIMEOUT))?;
+    conn::expect_ok(&reply).map(drop)
 }
 
 /// How often the stats logger polls the stop flag between emissions.
@@ -311,36 +303,6 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Polls for connections until the master stop flag is set, then drains the
-/// session threads.
-fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
-    let mut sessions: Vec<JoinHandle<()>> = Vec::new();
-    while !state.stop.is_stopped() {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                state.connections_served.fetch_add(1, Ordering::Relaxed);
-                htsat_obs::counter!("serve.connections.total").inc();
-                htsat_obs::debug!("connection accepted from {peer}");
-                let session_state = state.clone();
-                let handle = std::thread::Builder::new()
-                    .name("htsat-serve-session".to_string())
-                    .spawn(move || session(stream, &session_state))
-                    .expect("spawn session thread");
-                sessions.push(handle);
-                sessions.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-    // Graceful drain: in-flight streams have had their stop tokens fired
-    // (by shutdown() or the SHUTDOWN session), so sessions finish their
-    // current response and exit at the next read.
-    for handle in sessions {
-        let _ = handle.join();
-    }
-}
-
 /// Counts and logs a failure response (v1 line or v2 frame): the aggregate
 /// error counter, the per-code counter, and a `warn` log line.
 ///
@@ -374,20 +336,10 @@ pub(crate) fn dispatch_request(request: Request, state: &Arc<ServerState>) -> (J
             error_response(ErrorCode::BadRequest, "hello is negotiated per-connection"),
             false,
         ),
-        Request::Subscribe(_) => (
-            error_response(
-                ErrorCode::BadRequest,
-                "`subscribe` requires protocol v2 (negotiate with `hello` first)",
-            ),
-            false,
-        ),
-        Request::Credit { .. } | Request::Unsubscribe { .. } => (
-            error_response(
-                ErrorCode::BadRequest,
-                "subscription verbs require protocol v2 (negotiate with `hello` first)",
-            ),
-            false,
-        ),
+        request
+        @ (Request::Subscribe(_) | Request::Credit { .. } | Request::Unsubscribe { .. }) => {
+            (conn::v2_only(&request), false)
+        }
         Request::Load {
             name,
             engine,

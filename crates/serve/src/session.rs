@@ -41,12 +41,12 @@
 //! untraced requests and all v1 responses keep the pre-trace wire shape
 //! bit-for-bit.
 
+use crate::conn::{self, LineReader, RequestLine, FRAME_QUEUE_DEPTH};
 use crate::feed::Feed;
 use crate::json::Json;
 use crate::proto::{
     frame_chunk, frame_done, frame_error, frame_from_response, frame_reply, frame_traced,
-    request_id, request_trace, ErrorCode, ProtoError, Request, SampleParams, PROTOCOL_MAX,
-    PROTOCOL_V1, PROTOCOL_V2,
+    ErrorCode, Request, SampleParams,
 };
 use crate::server::{
     admit_sample, dispatch_request, note_response, sample_tail_payload, AdmittedSample, ServerState,
@@ -55,29 +55,11 @@ use htsat_obs::trace::{self, SpanName, TraceHandle};
 use htsat_obs::TraceId;
 use htsat_runtime::StopToken;
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// Largest accepted request line (a paper-scale inline DIMACS is a few
-/// MiB; the cap only bounds a hostile endless line).
-const MAX_LINE_BYTES: usize = 64 * 1024 * 1024;
-
-/// Read-timeout used as the stop-flag poll interval on session sockets.
-const READ_POLL: Duration = Duration::from_millis(50);
-
-/// v2 writer-side socket timeout: a client that stops draining its socket
-/// stalls its own frames for at most this long before the writer declares
-/// the connection dead — a stuck client must not hold up daemon shutdown.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Bound of the per-connection v2 frame queue, in frames. Workers block
-/// when it fills (per-request backpressure); feed producers skip instead.
-const FRAME_QUEUE_DEPTH: usize = 64;
 
 /// Pre-interned trace span names, resolved once per process so the
 /// per-request path never takes the intern lock.
@@ -222,49 +204,6 @@ fn record_reader_span(rt: Option<RequestTrace>, start_ns: u64) {
     }
 }
 
-/// Reads `\n`-terminated lines from a stream with a read timeout,
-/// preserving partially received lines across timeouts (a plain
-/// `BufRead::read_line` would drop them) and checking a stop flag between
-/// polls.
-struct LineReader {
-    stream: TcpStream,
-    pending: Vec<u8>,
-    /// Bytes of `pending` already scanned for a newline, so each appended
-    /// chunk is scanned once (a full rescan per chunk would make multi-MiB
-    /// inline-DIMACS lines quadratic).
-    scanned: usize,
-}
-
-impl LineReader {
-    /// Returns the next complete line (without guarantee of trailing
-    /// newline trimming), or `None` on EOF / stop / protocol violation.
-    fn next_line(&mut self, stop: &StopToken) -> Option<String> {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            if let Some(pos) = self.pending[self.scanned..]
-                .iter()
-                .position(|&b| b == b'\n')
-            {
-                let line: Vec<u8> = self.pending.drain(..=self.scanned + pos).collect();
-                self.scanned = 0;
-                // Invalid UTF-8 cannot be valid protocol JSON; drop the
-                // connection rather than guessing.
-                return String::from_utf8(line).ok();
-            }
-            self.scanned = self.pending.len();
-            if stop.is_stopped() || self.pending.len() > MAX_LINE_BYTES {
-                return None;
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return None, // client hung up (partial line dropped)
-                Ok(n) => self.pending.extend_from_slice(&chunk[..n]),
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-                Err(_) => return None,
-            }
-        }
-    }
-}
-
 /// RAII level of concurrently open connections: the gauge rises on session
 /// entry and falls on every exit path (EOF, shutdown, write failure).
 struct ConnectionGauge;
@@ -304,25 +243,17 @@ impl Drop for InflightGauge {
 /// comes back.
 pub(crate) fn session(stream: TcpStream, state: &Arc<ServerState>) {
     let _active = ConnectionGauge::enter();
-    let _ = stream.set_nodelay(true);
-    // Sessions must notice a daemon-wide shutdown even while idle in a
-    // read: a read timeout turns the blocking read into a poll.
-    let _ = stream.set_read_timeout(Some(READ_POLL));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = LineReader {
-        stream,
-        pending: Vec::new(),
-        scanned: 0,
+    state.connections_served.fetch_add(1, Ordering::Relaxed);
+    htsat_obs::counter!("serve.connections.total").inc();
+    let Ok((mut writer, mut reader)) = conn::split(stream) else {
+        return;
     };
     let slow_ns = trace_slow_ns(state);
     // v1 requests carry no wire id; a per-connection sequence number
     // stands in as the timeline's request id.
     let mut request_seq: u64 = 0;
     loop {
-        let Some(line) = reader.next_line(&state.stop) else {
+        let Some(line) = reader.next_line(&state.stop, None) else {
             return;
         };
         htsat_obs::counter!("serve.bytes_in").add(line.len() as u64);
@@ -332,11 +263,10 @@ pub(crate) fn session(stream: TcpStream, state: &Arc<ServerState>) {
         request_seq += 1;
         let (response, action, rt) = dispatch_v1_line(&line, state, request_seq);
         note_response(&response);
-        let mut text = response.encode();
-        text.push('\n');
-        htsat_obs::counter!("serve.bytes_out").add(text.len() as u64);
+        let text = response.encode();
+        htsat_obs::counter!("serve.bytes_out").add(text.len() as u64 + 1);
         let write_start = trace::timestamp_ns();
-        let write_failed = writer.write_all(text.as_bytes()).is_err() || writer.flush().is_err();
+        let write_failed = conn::write_line(&mut writer, text).is_err();
         if let Some(handle) = rt.and_then(|t| t.handle) {
             // v1 is lockstep: this thread wrote the response itself, so it
             // records the write span and closes the timeline in place.
@@ -385,65 +315,25 @@ fn dispatch_v1_line(
     state: &Arc<ServerState>,
     request_seq: u64,
 ) -> (Json, V1Action, Option<RequestTrace>) {
-    let msg = match Json::parse(line.trim_end()) {
-        Ok(msg) => msg,
-        Err(e) => {
-            return (
-                crate::proto::error_response(ErrorCode::BadJson, &format!("invalid JSON: {e}")),
-                V1Action::Continue,
-                None,
-            )
-        }
-    };
-    let explicit = match request_trace(&msg) {
-        Ok(explicit) => explicit,
-        Err(ProtoError(e)) => {
-            return (
-                crate::proto::error_response(ErrorCode::BadRequest, &e),
-                V1Action::Continue,
-                None,
-            )
-        }
-    };
-    let request = match Request::decode(&msg) {
-        Ok(request) => request,
-        Err(ProtoError(e)) => {
-            return (
-                crate::proto::error_response(ErrorCode::BadRequest, &e),
-                V1Action::Continue,
-                None,
-            )
-        }
+    let RequestLine {
+        trace: explicit,
+        request,
+        ..
+    } = match conn::decode_v1(line) {
+        Ok(decoded) => decoded,
+        Err(response) => return (response, V1Action::Continue, None),
     };
     let rt = begin_trace(&request, explicit, request_seq);
     let _scope = rt.and_then(|t| t.handle).map(trace::install);
     if let Request::Hello { version } = request {
         htsat_obs::counter!("serve.requests.hello").inc();
-        let accepted = match version {
-            PROTOCOL_V1 => V1Action::Continue,
-            PROTOCOL_V2 => V1Action::UpgradeV2,
-            other => {
-                return (
-                    crate::proto::error_response(
-                        ErrorCode::BadRequest,
-                        &format!(
-                            "unsupported protocol version {other} (supported: \
-                             {PROTOCOL_V1}..={PROTOCOL_MAX})"
-                        ),
-                    ),
-                    V1Action::Continue,
-                    rt,
-                )
-            }
+        let (response, upgrade) = conn::hello_reply(version);
+        let action = if upgrade {
+            V1Action::UpgradeV2
+        } else {
+            V1Action::Continue
         };
-        return (
-            crate::proto::ok_response(vec![
-                ("version", version.into()),
-                ("max_version", PROTOCOL_MAX.into()),
-            ]),
-            accepted,
-            rt,
-        );
+        return (response, action, rt);
     }
     let span = htsat_obs::span!("serve.request");
     let (response, shutdown) = dispatch_request(request, state);
@@ -548,8 +438,6 @@ impl FrameSender {
 /// worker threads — concurrent requests on one connection complete out of
 /// order.
 fn session_v2(mut reader: LineReader, writer: TcpStream, state: &Arc<ServerState>) {
-    // A stuck client must not wedge shutdown: bound every socket write.
-    let _ = writer.set_write_timeout(Some(WRITE_TIMEOUT));
     let depth = Arc::new(AtomicUsize::new(0));
     let (raw_tx, rx) = std::sync::mpsc::sync_channel::<QueuedFrame>(FRAME_QUEUE_DEPTH);
     let tx = FrameSender {
@@ -566,7 +454,7 @@ fn session_v2(mut reader: LineReader, writer: TcpStream, state: &Arc<ServerState
     let mut subs: HashMap<u64, Arc<Feed>> = HashMap::new();
     let mut shutdown = false;
 
-    while let Some(line) = reader.next_line(&state.stop) {
+    while let Some(line) = reader.next_line(&state.stop, None) {
         htsat_obs::counter!("serve.bytes_in").add(line.len() as u64);
         if line.trim().is_empty() {
             continue;
@@ -610,11 +498,6 @@ enum V2Action {
     Shutdown,
 }
 
-/// Sends an untraced frame to the connection's writer.
-fn send_frame(tx: &FrameSender, frame: Json) {
-    tx.send(frame, None);
-}
-
 /// Sends one frame of a (possibly) traced request: echoes the client's
 /// trace id and carries the recording handle to the writer; `terminal`
 /// marks the frame whose write closes the timeline.
@@ -636,41 +519,17 @@ fn handle_v2_line(
     workers: &mut Vec<JoinHandle<()>>,
 ) -> V2Action {
     let reader_start = trace::timestamp_ns();
-    let msg = match Json::parse(line.trim_end()) {
-        Ok(msg) => msg,
-        Err(e) => {
-            send_frame(
-                tx,
-                frame_error(None, ErrorCode::BadJson, &format!("invalid JSON: {e}")),
-            );
-            return V2Action::Continue;
-        }
-    };
-    let id = match request_id(&msg) {
-        Ok(Some(id)) => id,
-        Ok(None) => {
-            send_frame(
-                tx,
-                frame_error(None, ErrorCode::BadRequest, "v2 requests need an `id`"),
-            );
-            return V2Action::Continue;
-        }
-        Err(ProtoError(e)) => {
-            send_frame(tx, frame_error(None, ErrorCode::BadRequest, &e));
-            return V2Action::Continue;
-        }
-    };
-    let explicit = match request_trace(&msg) {
-        Ok(explicit) => explicit,
-        Err(ProtoError(e)) => {
-            send_frame(tx, frame_error(Some(id), ErrorCode::BadRequest, &e));
-            return V2Action::Continue;
-        }
-    };
-    let request = match Request::decode(&msg) {
-        Ok(request) => request,
-        Err(ProtoError(e)) => {
-            send_frame(tx, frame_error(Some(id), ErrorCode::BadRequest, &e));
+    let (
+        id,
+        RequestLine {
+            trace: explicit,
+            request,
+            ..
+        },
+    ) = match conn::decode_v2(line) {
+        Ok(decoded) => decoded,
+        Err(frame) => {
+            tx.send(frame, None);
             return V2Action::Continue;
         }
     };
@@ -679,16 +538,7 @@ fn handle_v2_line(
         Request::Hello { .. } => {
             htsat_obs::counter!("serve.requests.hello").inc();
             record_reader_span(rt, reader_start);
-            send_traced(
-                tx,
-                frame_error(
-                    Some(id),
-                    ErrorCode::BadRequest,
-                    "protocol version already negotiated",
-                ),
-                rt,
-                true,
-            );
+            send_traced(tx, conn::hello_again(id), rt, true);
         }
         Request::Status
         | Request::Stats { .. }
@@ -749,11 +599,7 @@ fn handle_v2_line(
                         ("credit", total.into()),
                     ],
                 ),
-                None => frame_error(
-                    Some(id),
-                    ErrorCode::BadRequest,
-                    &format!("unknown subscription `{sub}` (ended or never opened here)"),
-                ),
+                None => conn::unknown_sub(id, sub),
             };
             record_reader_span(rt, reader_start);
             send_traced(tx, frame, rt, true);
@@ -771,11 +617,7 @@ fn handle_v2_line(
                         ],
                     )
                 }
-                None => frame_error(
-                    Some(id),
-                    ErrorCode::BadRequest,
-                    &format!("unknown subscription `{sub}` (ended or never opened here)"),
-                ),
+                None => conn::unknown_sub(id, sub),
             };
             record_reader_span(rt, reader_start);
             send_traced(tx, frame, rt, true);
@@ -788,16 +630,7 @@ fn handle_v2_line(
             if map.contains_key(&id) {
                 drop(map);
                 record_reader_span(rt, reader_start);
-                send_traced(
-                    tx,
-                    frame_error(
-                        Some(id),
-                        ErrorCode::BadRequest,
-                        &format!("duplicate in-flight `id` {id}"),
-                    ),
-                    rt,
-                    true,
-                );
+                send_traced(tx, conn::duplicate_id(id), rt, true);
                 return V2Action::Continue;
             }
             // SAMPLE workers get a daemon-registered token (their streams
@@ -951,13 +784,10 @@ fn writer_loop(
             }
             continue;
         }
-        let mut text = queued.frame.encode();
-        text.push('\n');
+        let text = queued.frame.encode();
         let serialized_ns = trace::timestamp_ns();
-        htsat_obs::counter!("serve.bytes_out").add(text.len() as u64);
-        if writer.write_all(text.as_bytes()).is_err() || writer.flush().is_err() {
-            dead = true;
-        }
+        htsat_obs::counter!("serve.bytes_out").add(text.len() as u64 + 1);
+        dead = conn::write_line(&mut writer, text).is_err();
         if let Some(t) = queued.trace {
             let written_ns = trace::timestamp_ns();
             trace::record_span(

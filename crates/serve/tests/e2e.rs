@@ -518,3 +518,51 @@ fn concurrent_clients_share_the_registry() {
     assert_eq!(server.registry().counters().compiles, 1);
     assert_eq!(server.registry().len(), 1);
 }
+
+#[test]
+fn shutdown_is_not_held_up_by_a_router_that_never_finishes_its_reply() {
+    use std::io::Write;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
+    // A fake router: accepts the heartbeat's connection and drips one byte
+    // every 500 ms without ever sending a newline, so a reader bounded only
+    // by a per-read socket timeout would wait forever.
+    let fake = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake router");
+    let router_addr = fake.local_addr().expect("fake router addr");
+    let dripping = Arc::new(AtomicBool::new(true));
+    let drip_flag = dripping.clone();
+    let (accepted_tx, accepted_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let (mut stream, _) = fake.accept().expect("the heartbeat dials the router");
+        let _ = accepted_tx.send(());
+        while drip_flag.load(Ordering::Relaxed) && stream.write_all(b" ").is_ok() {
+            std::thread::sleep(Duration::from_millis(500));
+        }
+    });
+
+    let mut server = serve(ServeConfig {
+        register: Some(router_addr.to_string()),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    accepted_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the heartbeat connected to the fake router");
+    // Let the heartbeat send REGISTER and block on the dripping reply.
+    std::thread::sleep(Duration::from_millis(200));
+
+    // Watchdog: shutdown runs on its own thread and must report back in 5 s.
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done_tx.send(());
+    });
+    let finished = done_rx.recv_timeout(Duration::from_secs(5));
+    dripping.store(false, Ordering::Relaxed);
+    assert!(
+        finished.is_ok(),
+        "ServerHandle::shutdown() hung on the heartbeat's unterminated reply"
+    );
+}
