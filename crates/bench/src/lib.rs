@@ -13,9 +13,10 @@
 //! | Fig. 4 middle (ops reduction) | [`fig4_ops`] | `fig4-ops` |
 //! | Fig. 4 right (transformation time) | [`fig4_transform`] | `fig4-transform` |
 //!
-//! Absolute numbers differ from the paper (our "GPU" is a rayon thread pool,
-//! our baselines are re-implementations), but the comparisons the paper draws
-//! — who wins, by how much, and how the trends scale — are reproduced.
+//! Absolute numbers differ from the paper (our "GPU" is the `htsat-runtime`
+//! thread pool, our baselines are re-implementations), but the comparisons
+//! the paper draws — who wins, by how much, and how the trends scale — are
+//! reproduced.
 //!
 //! Beyond the figure reproductions, the [`harness`] module is a statistical
 //! bench runner (interleaved invocations, warmup/timing separation,

@@ -52,8 +52,8 @@ pub struct SamplerConfig {
     /// Learning rate γ (the paper uses 10). Must be positive and finite.
     pub learning_rate: f32,
     /// Execution backend for the batch dimension: `Sequential` (the CPU
-    /// baseline), `Threads(n)` (the runtime pool, the GPU stand-in and the
-    /// default) or `DataParallel` (the rayon API).
+    /// baseline) or `Threads(n)` (the runtime pool, the GPU stand-in and the
+    /// default).
     pub backend: Backend,
     /// Seed of the sampler's RNG (logit initialisation and free variables).
     pub seed: u64,
@@ -644,7 +644,7 @@ mod tests {
     #[test]
     fn sequential_and_parallel_backends_both_work() {
         let cnf = mux_constrained_cnf();
-        for backend in [Backend::Sequential, Backend::DataParallel] {
+        for backend in [Backend::Sequential, Backend::Threads(2)] {
             let config = SamplerConfig {
                 backend,
                 batch_size: 64,

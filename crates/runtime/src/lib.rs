@@ -6,9 +6,8 @@
 //! it.
 //!
 //! The paper's headline result is that sampling is *data-parallel*: every
-//! batch element is an independent gradient-descent problem. The vendored
-//! rayon stub executes sequentially (no crates.io access), so this crate
-//! supplies the real parallelism:
+//! batch element is an independent gradient-descent problem. This crate
+//! supplies that parallelism:
 //!
 //! * [`Executor`] — the abstraction the tensor backend dispatches through:
 //!   run a row-wise kernel over a mutable batch buffer, or map a function

@@ -144,7 +144,7 @@ impl Executor for ThreadPool {
             return 0.0;
         }
         // Count a trailing partial row as a row, matching `chunks_mut` (and
-        // therefore `SequentialExecutor` and the rayon path) exactly.
+        // therefore `SequentialExecutor`) exactly.
         let num_rows = rows.len().div_ceil(width);
         // One parallel region per call (the guard spans the short-circuit
         // path too, so region counts are thread-count independent).

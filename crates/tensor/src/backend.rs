@@ -1,26 +1,18 @@
 //! Execution backends: how batch elements are scheduled onto cores.
 
 use htsat_runtime::{Executor, SequentialExecutor, ThreadPool};
-use rayon::prelude::*;
 
 /// How batch elements are processed.
 ///
 /// The paper's ablation (Fig. 4, left) compares GPU execution against CPU
 /// execution of the same sampler. On a CPU-only machine the GPU's role — one
-/// independent task per batch element — is played by a thread pool. Each
-/// variant documents what it *actually* dispatches to:
+/// independent task per batch element — is played by a thread pool:
 ///
 /// * [`Backend::Sequential`] — every batch element on the calling thread, in
 ///   index order. The paper's CPU baseline.
 /// * [`Backend::Threads`] — the [`htsat_runtime::ThreadPool`] scoped
 ///   work-stealing pool with the given worker count (`0` = one worker per
-///   available core). This is the real parallel path and the default.
-/// * [`Backend::DataParallel`] — the `rayon` parallel-iterator API, kept for
-///   compatibility with builds that point `[workspace.dependencies] rayon`
-///   at crates.io. **With the vendored rayon stub this executes
-///   sequentially** (the stub's `par_*` adaptors are the standard-library
-///   iterators); use [`Backend::Threads`] for real parallelism in offline
-///   builds.
+///   available core). This is the parallel path and the default.
 ///
 /// Every backend observes the same contract: per-row kernels run exactly
 /// once per row and [`Backend::map_indices`] preserves index order, so for a
@@ -33,9 +25,6 @@ pub enum Backend {
     /// Process batch elements on the htsat-runtime thread pool with this
     /// many workers; `0` sizes the pool to the available hardware threads.
     Threads(usize),
-    /// Process batch elements through the `rayon` API. Parallel with the
-    /// real rayon crate; sequential with the vendored offline stub.
-    DataParallel,
 }
 
 impl Default for Backend {
@@ -59,9 +48,6 @@ impl Backend {
         match self {
             Backend::Sequential => 1,
             Backend::Threads(n) => ThreadPool::new(n).threads(),
-            // The vendored stub reports 1; the real rayon reports the pool
-            // size.
-            Backend::DataParallel => rayon::current_num_threads(),
         }
     }
 
@@ -78,11 +64,6 @@ impl Backend {
         match self {
             Backend::Sequential => SequentialExecutor.reduce_rows(rows, width, f),
             Backend::Threads(n) => ThreadPool::new(n).reduce_rows(rows, width, f),
-            Backend::DataParallel => rows
-                .par_chunks_mut(width)
-                .enumerate()
-                .map(|(i, row)| f(i, row))
-                .sum(),
         }
     }
 
@@ -91,11 +72,7 @@ impl Backend {
     /// workspace with `init` **per worker per parallel region** — the entry
     /// point for allocation-free kernels such as
     /// [`FlatKernel::fused_gd_step`](crate::FlatKernel::fused_gd_step).
-    ///
-    /// `Sequential` and `Threads` amortise the workspace across every row a
-    /// worker claims. `DataParallel` builds a workspace per row (the rayon
-    /// adaptor API offers no per-worker hook) — it remains correct, but use
-    /// `Threads` for the allocation-free hot path.
+    /// Each workspace is reused for every row its worker claims.
     pub fn for_each_row_with<W, I, F>(self, rows: &mut [f32], width: usize, init: I, f: F) -> f64
     where
         W: Send,
@@ -108,14 +85,6 @@ impl Backend {
         match self {
             Backend::Sequential => SequentialExecutor.reduce_rows_with(rows, width, init, f),
             Backend::Threads(n) => ThreadPool::new(n).reduce_rows_with(rows, width, init, f),
-            Backend::DataParallel => rows
-                .par_chunks_mut(width)
-                .enumerate()
-                .map(|(i, row)| {
-                    let mut workspace = init();
-                    f(i, row, &mut workspace)
-                })
-                .sum(),
         }
     }
 
@@ -129,7 +98,6 @@ impl Backend {
         match self {
             Backend::Sequential => SequentialExecutor.map_indices(n, f),
             Backend::Threads(t) => ThreadPool::new(t).map_indices(n, f),
-            Backend::DataParallel => (0..n).into_par_iter().map(f).collect(),
         }
     }
 
@@ -140,7 +108,6 @@ impl Backend {
             Backend::Sequential => "cpu-sequential".to_string(),
             Backend::Threads(0) => format!("threads-auto({})", self.effective_threads()),
             Backend::Threads(n) => format!("threads-{n}"),
-            Backend::DataParallel => "data-parallel".to_string(),
         }
     }
 }
@@ -149,12 +116,11 @@ impl Backend {
 mod tests {
     use super::*;
 
-    const ALL: [Backend; 5] = [
+    const ALL: [Backend; 4] = [
         Backend::Sequential,
         Backend::Threads(0),
         Backend::Threads(2),
         Backend::Threads(8),
-        Backend::DataParallel,
     ];
 
     #[test]

@@ -404,7 +404,7 @@ mod tests {
         let c = mux_circuit();
         let probs = BatchMatrix::from_fn(16, 3, |b, w| ((b * 3 + w) % 10) as f32 / 10.0);
         let (l1, g1) = c.loss_and_input_grads(&probs, Backend::Sequential);
-        let (l2, g2) = c.loss_and_input_grads(&probs, Backend::DataParallel);
+        let (l2, g2) = c.loss_and_input_grads(&probs, Backend::Threads(2));
         assert!((l1 - l2).abs() < 1e-9);
         assert_eq!(g1.as_slice(), g2.as_slice());
     }
@@ -413,7 +413,7 @@ mod tests {
     fn forward_outputs_shape() {
         let c = mux_circuit();
         let probs = BatchMatrix::filled(5, 3, 0.5);
-        let out = c.forward_outputs(&probs, Backend::DataParallel);
+        let out = c.forward_outputs(&probs, Backend::Threads(2));
         assert_eq!(out.batch(), 5);
         assert_eq!(out.width(), 1);
     }
@@ -425,8 +425,8 @@ mod tests {
         let mut acts = Vec::new();
         for backend in [
             Backend::Sequential,
+            Backend::Threads(2),
             Backend::Threads(4),
-            Backend::DataParallel,
         ] {
             let out = c.forward_outputs(&probs, backend);
             for b in 0..probs.batch() {

@@ -20,9 +20,9 @@
 //!   CSR-style flat layout, executing the sampler's fused
 //!   sigmoid + forward + backward + descent step with zero allocations per
 //!   row out of reusable per-worker workspaces,
-//! * [`Backend`] — `Sequential` (the paper's CPU baseline), `Threads(n)`
+//! * [`Backend`] — `Sequential` (the paper's CPU baseline) or `Threads(n)`
 //!   (the [`htsat_runtime`] thread pool across the batch, standing in for
-//!   the GPU) or `DataParallel` (the rayon API, kept for compatibility),
+//!   the GPU),
 //! * [`MemoryModel`] — the memory-usage model behind the paper's Fig. 3.
 //!
 //! # Example
