@@ -7,19 +7,21 @@
 //!
 //! For every `.cnf` file in the directory: parse it, build the
 //! transformation + sampler, check the fused GD kernel against the
-//! reference circuit row by row ([`htsat_bench::kernel_oracle`]), and
-//! stream samples for a bounded budget. Every returned sample is validated
-//! against the parsed CNF. Exits non-zero if any file fails to parse, any
-//! sampler fails to build, the kernel oracle finds a divergent row, any
-//! sample is invalid, or no instance yields a single solution — the cheap
-//! end-to-end guard that the generator, the DIMACS round-trip and the
-//! sampling pipeline stay compatible.
+//! reference circuit row by row ([`htsat_bench::kernel_oracle`]), check
+//! the word-parallel hardening against the scalar reconstruct-and-validate
+//! path row by row ([`htsat_bench::harden_oracle`]), and stream samples
+//! for a bounded budget. Every returned sample is validated against the
+//! parsed CNF. Exits non-zero if any file fails to parse, any sampler
+//! fails to build, either oracle finds a divergent row, any sample is
+//! invalid, or no instance yields a single solution — the cheap end-to-end
+//! guard that the generator, the DIMACS round-trip and the sampling
+//! pipeline stay compatible.
 //!
 //! Options: `--budget-ms N` (per-instance sampling budget, default 500),
 //! `--target N` (solutions to aim for per instance, default 16),
 //! `--threads N` (worker threads, default auto).
 
-use htsat_bench::kernel_oracle;
+use htsat_bench::{harden_oracle, kernel_oracle};
 use htsat_cnf::dimacs;
 use htsat_core::compile::compile;
 use htsat_core::{GdSampler, SamplerConfig};
@@ -142,10 +144,10 @@ fn main() {
                 continue;
             }
         };
-        let oracle = kernel_oracle(
-            &compile(sampler.transform_result()),
-            sampler.config().learning_rate,
-        );
+        let compiled = compile(sampler.transform_result());
+        let learning_rate = sampler.config().learning_rate;
+        let oracle = kernel_oracle(&compiled, learning_rate);
+        let harden = harden_oracle(&cnf, sampler.transform_result(), &compiled, learning_rate);
         let solutions: Vec<Vec<bool>> = sampler
             .stream()
             .with_timeout(config.budget)
@@ -161,6 +163,10 @@ fn main() {
         if let Some(row) = oracle {
             failures += 1;
             notes.push(format!("KERNEL MISMATCH: fused vs reference at row {row}"));
+        }
+        if let Some(row) = harden {
+            failures += 1;
+            notes.push(format!("HARDEN MISMATCH: words vs scalar at row {row}"));
         }
         if invalid > 0 {
             failures += 1;

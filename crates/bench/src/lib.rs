@@ -34,14 +34,16 @@ pub mod cli;
 pub mod harness;
 
 use htsat_baselines::engine_by_name;
-use htsat_core::compile::CompiledCircuit;
+use htsat_cnf::Cnf;
+use htsat_core::compile::{self, CompiledCircuit};
 use htsat_core::{
     transform, GdSampler, PreparedFormula, SampleEngine, SamplerConfig, SessionConfig,
-    TransformConfig, TransformError,
+    TransformConfig, TransformError, TransformResult,
 };
 use htsat_instances::suite::{full_suite, table2_instances, SuiteScale};
 use htsat_instances::Instance;
-use htsat_tensor::Backend;
+use htsat_runtime::derive_stream_seed;
+use htsat_tensor::{Backend, BatchMatrix};
 use std::time::Duration;
 
 /// Options shared by every experiment runner.
@@ -791,6 +793,64 @@ pub fn kernel_oracle(compiled: &CompiledCircuit, learning_rate: f32) -> Option<u
                     .zip(&staged)
                     .any(|(a, b)| a.to_bits() != b.to_bits())
         })
+    })
+}
+
+/// Rows the harden oracle replays: two full 64-row words and a partial
+/// third.
+const HARDEN_ORACLE_ROWS: usize = 130;
+
+/// Row-level oracle for the sampler's word-parallel hardening: replays 130
+/// deterministic logit rows through
+/// [`CompiledCircuit::harden_word`] and, independently, through the scalar
+/// composition the sampler ran before words existed —
+/// [`TransformResult::assignment_from_inputs`] with inputs read through
+/// [`CompiledCircuit::column_of`] and free variables from
+/// [`compile::free_value`], then [`Cnf::is_satisfied_by_bits`].
+///
+/// Even rows are first descended 5 steps through the fused kernel, as a
+/// sampler round would, so that most of them harden into solutions; odd
+/// rows keep their raw initialisation, sprinkled with `0.0`, `-0.0` and
+/// NaN logits, so that most of them do not. A row counts as agreeing when
+/// both paths give it the same validity and, if valid, the same bits.
+///
+/// Returns the first row on which the two paths disagree, or `None`.
+pub fn harden_oracle(
+    cnf: &Cnf,
+    transform: &TransformResult,
+    compiled: &CompiledCircuit,
+    learning_rate: f32,
+) -> Option<usize> {
+    let edge_values = [0.0, -0.0, f32::NAN];
+    let mut logits = BatchMatrix::from_fn(HARDEN_ORACLE_ROWS, compiled.num_inputs(), |row, j| {
+        let h = derive_stream_seed(row as u64, j);
+        if row % 2 == 1 && h.is_multiple_of(8) {
+            edge_values[(h >> 3) as usize % edge_values.len()]
+        } else {
+            (h >> 40) as f32 / (1u64 << 24) as f32 * 4.0 - 2.0
+        }
+    });
+    let mut workspace = compiled.kernel.workspace();
+    for row in (0..HARDEN_ORACLE_ROWS).step_by(2) {
+        for _ in 0..ORACLE_ITERATIONS {
+            compiled
+                .kernel
+                .fused_gd_step(logits.row_mut(row), learning_rate, &mut workspace);
+        }
+    }
+    let free_seed = 0x5eed_f4ee;
+    let mut words = (0..HARDEN_ORACLE_ROWS.div_ceil(compile::WORD_ROWS))
+        .flat_map(|word| compiled.harden_word(cnf, &logits, word, free_seed))
+        .peekable();
+    (0..HARDEN_ORACLE_ROWS).find(|&row| {
+        let values = logits.row(row);
+        let bits = transform.assignment_from_inputs(
+            |v| compiled.column_of(v).is_some_and(|c| values[c] > 0.0),
+            |v| compile::free_value(free_seed, row, v),
+        );
+        let scalar = cnf.is_satisfied_by_bits(&bits).then_some(bits);
+        let word = words.next_if(|(r, _)| *r == row).map(|(_, bits)| bits);
+        scalar != word
     })
 }
 

@@ -5,9 +5,12 @@
 //!   configuration — any change to the descent, hardening, validation or
 //!   RNG streams that alters one bit of one solution changes a digest;
 //! * the kernel oracle replays rows through the fused kernel and the
-//!   staged `SoftCircuit` composition and requires identical bits.
+//!   staged `SoftCircuit` composition and requires identical bits;
+//! * the harden oracle replays rows through the word-parallel hardening
+//!   pass and the scalar reconstruct-and-validate composition and requires
+//!   the same surviving rows with the same bits.
 
-use htsat_bench::kernel_oracle;
+use htsat_bench::{harden_oracle, kernel_oracle};
 use htsat_core::{compile, transform, GdSampler, SamplerConfig};
 use htsat_instances::suite::{table2_instances, SuiteScale};
 use htsat_tensor::Backend;
@@ -80,6 +83,21 @@ fn kernel_oracle_agrees_on_every_table2_instance() {
             kernel_oracle(&compiled, learning_rate),
             None,
             "{}: fused kernel diverges from the reference circuit",
+            instance.name
+        );
+    }
+}
+
+#[test]
+fn harden_oracle_agrees_on_every_table2_instance() {
+    for instance in table2_instances(SuiteScale::Small) {
+        let transformed = transform(&instance.cnf).expect("transform");
+        let compiled = compile::compile(&transformed);
+        let learning_rate = SamplerConfig::default().learning_rate;
+        assert_eq!(
+            harden_oracle(&instance.cnf, &transformed, &compiled, learning_rate),
+            None,
+            "{}: word-parallel hardening diverges from the scalar path",
             instance.name
         );
     }

@@ -118,6 +118,36 @@ impl Cnf {
         self.clauses.iter().all(|c| c.eval_bits(bits))
     }
 
+    /// Evaluates the formula under up to 64 complete assignments at once,
+    /// one per bit lane: bit `j` of `words[i]` is the value of zero-based
+    /// variable `i` in assignment `j`. Each clause ORs its literal words and
+    /// the clauses AND into a mask of live lanes, so lane `j` of the result
+    /// is set exactly when `j` is set in `lanes` and
+    /// [`Cnf::is_satisfied_by_bits`] accepts assignment `j`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is shorter than [`Cnf::num_vars`].
+    pub fn satisfied_lanes(&self, words: &[u64], lanes: u64) -> u64 {
+        assert!(
+            words.len() >= self.num_vars,
+            "assignment has {} words but formula has {} variables",
+            words.len(),
+            self.num_vars
+        );
+        let mut live = lanes;
+        for clause in &self.clauses {
+            if live == 0 {
+                break;
+            }
+            live &= clause.lits().iter().fold(0, |any, lit| {
+                let word = words[lit.var().as_usize()];
+                any | if lit.is_positive() { word } else { !word }
+            });
+        }
+        live
+    }
+
     /// Evaluates the formula under a (possibly partial) [`Assignment`].
     ///
     /// Returns `Some(false)` as soon as a clause is falsified, `Some(true)` if

@@ -46,6 +46,33 @@ proptest! {
     }
 
     #[test]
+    fn word_wide_clause_mask_matches_every_lane(
+        cnf in arb_cnf(8, 16, 4),
+        lanes in prop::collection::vec(arb_bits(8), 1..=64),
+        mask in any::<u64>(),
+    ) {
+        // Transpose the lanes into one word per variable; the lanes beyond
+        // `lanes.len()` (a partial word) carry garbage ones, as an evaluated
+        // circuit's inverted nodes would.
+        let garbage = (!0u64).checked_shl(lanes.len() as u32).unwrap_or(0);
+        let words: Vec<u64> = (0..8)
+            .map(|v| {
+                lanes
+                    .iter()
+                    .enumerate()
+                    .fold(garbage, |w, (j, bits)| w | u64::from(bits[v]) << j)
+            })
+            .collect();
+        let live = mask & (!0u64 >> (64 - lanes.len()));
+        let got = cnf.satisfied_lanes(&words, live);
+        for (j, bits) in lanes.iter().enumerate() {
+            let expected = live >> j & 1 == 1 && cnf.is_satisfied_by_bits(bits);
+            prop_assert_eq!(got >> j & 1 == 1, expected, "lane {}", j);
+        }
+        prop_assert_eq!(got & !live, 0, "a lane outside the mask survived");
+    }
+
+    #[test]
     fn falsified_count_zero_iff_satisfied(cnf in arb_cnf(6, 12, 4), bits in arb_bits(6)) {
         prop_assert_eq!(cnf.count_falsified(&bits) == 0, cnf.is_satisfied_by_bits(&bits));
     }

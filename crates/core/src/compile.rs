@@ -5,10 +5,12 @@
 //! become learnable input columns, and output constraints become ℓ2 targets.
 
 use crate::TransformResult;
-use htsat_cnf::Var;
+use htsat_cnf::{Cnf, Var};
 use htsat_logic::{GateKind, NodeRef};
-use htsat_tensor::{FlatKernel, SoftCircuit, SoftGate};
-use std::collections::HashMap;
+use htsat_tensor::{BatchMatrix, FlatKernel, SoftCircuit, SoftGate};
+
+/// Rows one word of the hardening pass covers: one per bit of a `u64`.
+pub const WORD_ROWS: usize = 64;
 
 /// A compiled differentiable circuit together with the mapping from input
 /// columns back to CNF variables.
@@ -25,6 +27,11 @@ pub struct CompiledCircuit {
     pub kernel: FlatKernel,
     /// CNF variable corresponding to each input column.
     pub input_vars: Vec<Var>,
+    /// Input column of each variable, by zero-based variable index.
+    columns: Vec<Option<usize>>,
+    /// Netlist node driving each variable of the formula's universe, by
+    /// zero-based variable index; `None` for a free variable.
+    drivers: Vec<Option<usize>>,
 }
 
 impl CompiledCircuit {
@@ -35,8 +42,88 @@ impl CompiledCircuit {
 
     /// The column of a primary-input variable, if it is one.
     pub fn column_of(&self, var: Var) -> Option<usize> {
-        self.input_vars.iter().position(|&v| v == var)
+        self.columns.get(var.as_usize()).copied().flatten()
     }
+
+    /// Hardens, reconstructs and validates one word of a logit matrix: the
+    /// rows `WORD_ROWS * word ..` (up to [`WORD_ROWS`] of them; fewer in a
+    /// partial last word), each held in one bit lane of a `u64`.
+    ///
+    /// 1. Every input column's logits are thresholded (`> 0.0`, so NaN and
+    ///    `-0.0` give 0) into one word.
+    /// 2. The kernel evaluates every node word-wide
+    ///    ([`FlatKernel::forward_words`]).
+    /// 3. Each variable of the formula's universe takes its driver node's
+    ///    word; a free variable takes [`free_value`] per row.
+    /// 4. [`Cnf::satisfied_lanes`] checks every clause, masked to the
+    ///    word's rows.
+    ///
+    /// Returns `(row, assignment)` for each row whose assignment satisfies
+    /// `cnf`, in row order. Row for row this is the scalar composition
+    /// [`TransformResult::assignment_from_inputs`] (inputs read through
+    /// [`CompiledCircuit::column_of`], free variables from [`free_value`])
+    /// followed by [`Cnf::is_satisfied_by_bits`], keeping the valid rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `logits` does not have one column per circuit input, if
+    /// the word lies beyond the matrix, or if `cnf` has more variables than
+    /// the formula this circuit was compiled from.
+    pub fn harden_word(
+        &self,
+        cnf: &Cnf,
+        logits: &BatchMatrix,
+        word: usize,
+        free_seed: u64,
+    ) -> Vec<(usize, Vec<bool>)> {
+        assert_eq!(
+            logits.width(),
+            self.num_inputs(),
+            "one logit per input column"
+        );
+        let first = word * WORD_ROWS;
+        assert!(first < logits.batch(), "word {word} lies beyond the batch");
+        let rows = (logits.batch() - first).min(WORD_ROWS);
+        let mut inputs = vec![0u64; self.num_inputs()];
+        for lane in 0..rows {
+            for (bits, &v) in inputs.iter_mut().zip(logits.row(first + lane)) {
+                *bits |= u64::from(v > 0.0) << lane;
+            }
+        }
+        let mut nodes = vec![0u64; self.kernel.num_nodes()];
+        self.kernel.forward_words(&inputs, &mut nodes);
+        let vars: Vec<u64> = self
+            .drivers
+            .iter()
+            .enumerate()
+            .map(|(i, driver)| match *driver {
+                Some(node) => nodes[node],
+                None => (0..rows).fold(0, |bits, lane| {
+                    let free = free_value(free_seed, first + lane, Var::from_zero_based(i));
+                    bits | u64::from(free) << lane
+                }),
+            })
+            .collect();
+        let valid = cnf.satisfied_lanes(&vars, !0 >> (WORD_ROWS - rows));
+        (0..rows)
+            .filter(|lane| valid >> lane & 1 == 1)
+            .map(|lane| {
+                let bits = vars.iter().map(|word| word >> lane & 1 == 1).collect();
+                (first + lane, bits)
+            })
+            .collect()
+    }
+}
+
+/// The value sampled row `row` gives a free variable (one no netlist node
+/// drives): a hash of the round's `free_seed`, the row and the variable.
+/// Free variables are unconstrained, so randomising them per row adds
+/// diversity while keeping the output a function of the seed.
+pub fn free_value(free_seed: u64, row: usize, var: Var) -> bool {
+    let mut h = free_seed ^ (row as u64).wrapping_mul(0x9e3779b97f4a7c15);
+    h ^= (var.index() as u64).wrapping_mul(0xd6e8feb86659fd93);
+    h = h.wrapping_mul(0x2545f4914f6cdd1d);
+    (h >> 63) & 1 == 1
 }
 
 /// Compiles the transformation result into a [`SoftCircuit`].
@@ -50,18 +137,29 @@ pub fn compile(result: &TransformResult) -> CompiledCircuit {
         .iter()
         .map(|&v| Var::new(v))
         .collect();
-    let column: HashMap<u32, usize> = netlist
-        .primary_inputs()
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, i))
-        .collect();
+    let highest_input = input_vars.iter().map(|v| v.index() as usize).max();
+    let mut columns = vec![None; highest_input.unwrap_or(0)];
+    for (col, var) in input_vars.iter().enumerate() {
+        columns[var.as_usize()] = Some(col);
+    }
+    // Bindings beyond the formula's universe do not reach an assignment
+    // (as in `TransformResult::assignment_from_inputs`).
+    let mut drivers = vec![None; result.num_vars()];
+    for (var, node) in netlist.bound_vars() {
+        let slot = (var as usize)
+            .checked_sub(1)
+            .and_then(|i| drivers.get_mut(i));
+        if let Some(slot) = slot {
+            *slot = Some(node.index());
+        }
+    }
 
     let mut circuit = SoftCircuit::new(input_vars.len());
     for node in netlist.nodes() {
         match node {
             NodeRef::Input(var) => {
-                let col = column[var];
+                let col =
+                    columns[Var::new(*var).as_usize()].expect("input nodes are primary inputs");
                 circuit.input(col);
             }
             NodeRef::Const(b) => {
@@ -91,6 +189,8 @@ pub fn compile(result: &TransformResult) -> CompiledCircuit {
         circuit,
         kernel,
         input_vars,
+        columns,
+        drivers,
     }
 }
 

@@ -17,6 +17,17 @@
 //! and serves as the row-level oracle the kernel is checked against
 //! (`htsat_bench::kernel_oracle`).
 //!
+//! Hardening and validation run 64 rows per `u64` word, one bit lane per
+//! row ([`CompiledCircuit::harden_word`]): thresholded input words go
+//! through the kernel's hard-logic pass
+//! ([`htsat_tensor::FlatKernel::forward_words`]), every CNF variable
+//! takes its driver node's word, and [`Cnf::satisfied_lanes`] checks every
+//! clause for all 64 rows at once. Only the surviving rows are unpacked
+//! into `Vec<bool>` solutions. The per-row composition
+//! [`TransformResult::assignment_from_inputs`] +
+//! [`Cnf::is_satisfied_by_bits`] yields the same rows and is the oracle
+//! the word path is checked against (`htsat_bench::harden_oracle`).
+//!
 //! The primary consumption API is **streaming**: [`GdSampler::stream`]
 //! returns a [`SampleStream`] — a lazy `Iterator` of unique solutions that
 //! runs gradient-descent rounds on demand on the configured
@@ -30,10 +41,10 @@
 //! in index order, so `Backend::Threads(1)` and `Backend::Threads(8)`
 //! produce the identical solution sequence for the same seed.
 
-use crate::compile::{compile, CompiledCircuit};
+use crate::compile::{compile, CompiledCircuit, WORD_ROWS};
 use crate::transform::{transform_with_config, TransformConfig, TransformResult};
 use crate::TransformError;
-use htsat_cnf::{Cnf, Var};
+use htsat_cnf::Cnf;
 use htsat_runtime::{derive_stream_seed, RoundSource, SampleStream, StopToken};
 use htsat_tensor::{Backend, BatchMatrix, MemoryModel};
 use rand::rngs::SmallRng;
@@ -420,8 +431,8 @@ impl GdSampler {
     }
 
     /// Like [`GdSampler::sample_round`], but polls `stop` during the
-    /// gradient-descent loop and per hardened row, returning early (with an
-    /// empty or partial batch) once it is set.
+    /// gradient-descent loop and per hardened 64-row word, returning early
+    /// (with an empty or partial batch) once it is set.
     pub fn sample_round_cancellable(&mut self, stop: &StopToken) -> Vec<Vec<bool>> {
         let batch = self.config.batch_size;
         let n = self.compiled.num_inputs();
@@ -432,13 +443,16 @@ impl GdSampler {
         // is a function of (seed, row) alone — not of the thread count.
         let round_seed: u64 = self.rng.gen();
         let logits = &mut self.logits;
-        backend.for_each_row(logits.as_mut_slice(), n, |b, row| {
-            let mut row_rng = SmallRng::seed_from_u64(derive_stream_seed(round_seed, b));
-            for v in row.iter_mut() {
-                *v = row_rng.gen_range(-scale..=scale);
-            }
-            0.0
-        });
+        {
+            let _span = htsat_obs::span!("engine.gd.init");
+            backend.for_each_row(logits.as_mut_slice(), n, |b, row| {
+                let mut row_rng = SmallRng::seed_from_u64(derive_stream_seed(round_seed, b));
+                for v in row.iter_mut() {
+                    *v = row_rng.gen_range(-scale..=scale);
+                }
+                0.0
+            });
+        }
 
         let iterations = self.config.iterations;
         let learning_rate = self.config.learning_rate;
@@ -448,59 +462,41 @@ impl GdSampler {
         // differentiates and descends in a single pass per iteration with
         // zero allocations per row.
         let kernel = &self.compiled.kernel;
-        backend.for_each_row_with(
-            logits.as_mut_slice(),
-            n,
-            || kernel.workspace(),
-            |_, row, ws| {
-                let mut loss = 0.0;
-                for _ in 0..iterations {
-                    if stop.is_stopped() {
-                        break;
+        {
+            let _span = htsat_obs::span!("engine.gd.descend");
+            backend.for_each_row_with(
+                logits.as_mut_slice(),
+                n,
+                || kernel.workspace(),
+                |_, row, ws| {
+                    let mut loss = 0.0;
+                    for _ in 0..iterations {
+                        if stop.is_stopped() {
+                            break;
+                        }
+                        loss = kernel.fused_gd_step(row, learning_rate, ws);
                     }
-                    loss = kernel.fused_gd_step(row, learning_rate, ws);
-                }
-                loss
-            },
-        );
+                    loss
+                },
+            );
+        }
         if stop.is_stopped() {
             return Vec::new();
         }
-        let logits = &self.logits;
 
-        // Harden, reconstruct full assignments and validate against the CNF.
-        let num_vars = self.cnf.num_vars();
+        // Harden, reconstruct full assignments and validate against the
+        // CNF, 64 rows per word (one bit lane each); rows come back valid
+        // only, in row order.
+        let _span = htsat_obs::span!("engine.gd.harden");
         let free_seed: u64 = self.rng.gen();
-        let rows: Vec<Option<Vec<bool>>> = self.config.backend.map_indices(batch, |b| {
+        let words = backend.map_indices(batch.div_ceil(WORD_ROWS), |word| {
             if stop.is_stopped() {
-                return None;
+                return Vec::new();
             }
-            let row = logits.row(b);
-            let input_value = |v: Var| {
-                self.compiled
-                    .column_of(v)
-                    .map(|c| row[c] > 0.0)
-                    .unwrap_or(false)
-            };
-            // Unbound variables are unconstrained: randomise them per sample
-            // for extra diversity, deterministically from the seed.
-            let free_value = |v: Var| {
-                let mut h = free_seed ^ (b as u64).wrapping_mul(0x9e3779b97f4a7c15);
-                h ^= (v.index() as u64).wrapping_mul(0xd6e8feb86659fd93);
-                h = h.wrapping_mul(0x2545f4914f6cdd1d);
-                (h >> 63) & 1 == 1
-            };
-            let bits = self
-                .transform
-                .assignment_from_inputs(input_value, free_value);
-            debug_assert_eq!(bits.len(), num_vars);
-            if self.cnf.is_satisfied_by_bits(&bits) {
-                Some(bits)
-            } else {
-                None
-            }
+            self.compiled
+                .harden_word(&self.cnf, &self.logits, word, free_seed)
         });
-        rows.into_iter().flatten().collect()
+        words.into_iter().flatten().map(|(_, bits)| bits).collect()
     }
 
     /// Returns a lazy stream of unique solutions, borrowing the sampler.
@@ -653,6 +649,90 @@ mod tests {
             let mut sampler = GdSampler::new(&cnf, config).expect("build");
             let report = sampler.sample(2, Duration::from_secs(10));
             assert!(!report.solutions.is_empty(), "backend {backend:?}");
+        }
+    }
+
+    /// A formula whose GD rounds harden into both valid and invalid rows:
+    /// the MUX constraint plus an XOR-chain constraint that five weak
+    /// descent steps often miss, over a universe with unused (free)
+    /// variables 11–14.
+    fn mixed_validity_sampler(batch_size: usize, threads: usize, seed: u64) -> GdSampler {
+        let cnf = dimacs::parse_str(
+            "p cnf 14 15\n\
+             -1 -4 0\n1 4 0\n\
+             -4 -2 5 0\n-4 2 -5 0\n4 -3 5 0\n4 3 -5 0\n\
+             5 0\n\
+             -6 -7 -8 0\n6 7 -8 0\n6 -7 8 0\n-6 7 8 0\n\
+             -8 -9 -10 0\n8 9 -10 0\n8 -9 10 0\n-8 9 10 0\n\
+             10 0\n",
+        )
+        .expect("valid DIMACS");
+        let config = SamplerConfig {
+            batch_size,
+            seed,
+            learning_rate: 0.5,
+            backend: Backend::Threads(threads),
+            ..SamplerConfig::default()
+        };
+        GdSampler::new(&cnf, config).expect("build")
+    }
+
+    /// Re-derives a finished round's output from the logits it left in
+    /// `sampler.logits`, row by row through the scalar oracle:
+    /// `assignment_from_inputs` then `is_satisfied_by_bits`.
+    fn scalar_round(sampler: &GdSampler, free_seed: u64) -> Vec<Vec<bool>> {
+        let compiled = &sampler.compiled;
+        (0..sampler.config.batch_size)
+            .filter_map(|b| {
+                let row = sampler.logits.row(b);
+                let bits = sampler.transform.assignment_from_inputs(
+                    |v| compiled.column_of(v).is_some_and(|c| row[c] > 0.0),
+                    |v| crate::compile::free_value(free_seed, b, v),
+                );
+                sampler.cnf.is_satisfied_by_bits(&bits).then_some(bits)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn word_rounds_match_the_scalar_oracle_at_word_boundaries() {
+        let (mut valid, mut attempts) = (0, 0);
+        for threads in [1, 3] {
+            for batch in [1, 63, 64, 65, 130] {
+                let mut sampler = mixed_validity_sampler(batch, threads, batch as u64);
+                for round in 0..4 {
+                    // The round draws its logit seed, then its free seed.
+                    let mut rng = sampler.rng.clone();
+                    let _logit_seed: u64 = rng.gen();
+                    let free_seed: u64 = rng.gen();
+                    let rows = sampler.sample_round();
+                    assert_eq!(
+                        rows,
+                        scalar_round(&sampler, free_seed),
+                        "threads {threads}, batch {batch}, round {round}"
+                    );
+                    valid += rows.len();
+                    attempts += batch;
+                }
+            }
+        }
+        // Both verdicts occur, so the mask is checked in both directions.
+        assert!(0 < valid && valid < attempts, "{valid} of {attempts} valid");
+    }
+
+    #[test]
+    fn each_round_at_batch_64_is_a_prefix_of_the_round_at_batch_130() {
+        // Rows depend only on (seed, row), so extra rows only append.
+        for threads in [1, 3] {
+            let mut small = mixed_validity_sampler(64, threads, 11);
+            let mut large = mixed_validity_sampler(130, threads, 11);
+            for round in 0..2 {
+                let (small, large) = (small.sample_round(), large.sample_round());
+                assert!(
+                    large.len() > small.len() && large.starts_with(&small),
+                    "threads {threads}, round {round}"
+                );
+            }
         }
     }
 

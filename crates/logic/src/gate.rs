@@ -1,5 +1,6 @@
 //! Logic gate kinds shared by the netlist and the differentiable circuit.
 
+use std::borrow::Borrow;
 use std::fmt;
 
 /// The kind of a logic gate in a multi-level netlist.
@@ -27,27 +28,33 @@ pub enum GateKind {
 }
 
 impl GateKind {
-    /// Evaluates the gate over boolean fan-in values.
+    /// Evaluates the gate over boolean fan-in values, folding them as they
+    /// arrive: an array, a slice or any iterator of `bool`s, so a caller
+    /// can stream fan-in values without collecting them first.
     ///
     /// # Panics
     ///
     /// Panics if a unary gate receives a fan-in of length other than one.
-    pub fn eval(self, inputs: &[bool]) -> bool {
+    pub fn eval<I>(self, inputs: I) -> bool
+    where
+        I: IntoIterator,
+        I::Item: Borrow<bool>,
+    {
+        let mut inputs = inputs.into_iter().map(|b| *b.borrow());
         match self {
-            GateKind::Buf => {
-                assert_eq!(inputs.len(), 1, "Buf takes exactly one input");
-                inputs[0]
+            GateKind::Buf | GateKind::Not => {
+                let only = inputs.next().filter(|_| inputs.next().is_none());
+                let Some(value) = only else {
+                    panic!("{self:?} takes exactly one input");
+                };
+                value ^ (self == GateKind::Not)
             }
-            GateKind::Not => {
-                assert_eq!(inputs.len(), 1, "Not takes exactly one input");
-                !inputs[0]
-            }
-            GateKind::And => inputs.iter().all(|&b| b),
-            GateKind::Or => inputs.iter().any(|&b| b),
-            GateKind::Nand => !inputs.iter().all(|&b| b),
-            GateKind::Nor => !inputs.iter().any(|&b| b),
-            GateKind::Xor => inputs.iter().fold(false, |a, &b| a ^ b),
-            GateKind::Xnor => !inputs.iter().fold(false, |a, &b| a ^ b),
+            GateKind::And => inputs.all(|b| b),
+            GateKind::Or => inputs.any(|b| b),
+            GateKind::Nand => !inputs.all(|b| b),
+            GateKind::Nor => !inputs.any(|b| b),
+            GateKind::Xor => inputs.fold(false, |a, b| a ^ b),
+            GateKind::Xnor => !inputs.fold(false, |a, b| a ^ b),
         }
     }
 
@@ -94,24 +101,24 @@ mod tests {
 
     #[test]
     fn gate_semantics() {
-        assert!(GateKind::And.eval(&[true, true, true]));
-        assert!(!GateKind::And.eval(&[true, false]));
-        assert!(GateKind::Or.eval(&[false, true]));
-        assert!(!GateKind::Or.eval(&[false, false]));
-        assert!(GateKind::Nand.eval(&[true, false]));
-        assert!(GateKind::Nor.eval(&[false, false]));
-        assert!(GateKind::Xor.eval(&[true, false, false]));
-        assert!(!GateKind::Xor.eval(&[true, true]));
-        assert!(GateKind::Xnor.eval(&[true, true]));
-        assert!(GateKind::Not.eval(&[false]));
-        assert!(GateKind::Buf.eval(&[true]));
+        assert!(GateKind::And.eval([true, true, true]));
+        assert!(!GateKind::And.eval([true, false]));
+        assert!(GateKind::Or.eval([false, true]));
+        assert!(!GateKind::Or.eval([false, false]));
+        assert!(GateKind::Nand.eval([true, false]));
+        assert!(GateKind::Nor.eval([false, false]));
+        assert!(GateKind::Xor.eval([true, false, false]));
+        assert!(!GateKind::Xor.eval([true, true]));
+        assert!(GateKind::Xnor.eval([true, true]));
+        assert!(GateKind::Not.eval([false]));
+        assert!(GateKind::Buf.eval([true]));
     }
 
     #[test]
     fn empty_fanin_identities() {
-        assert!(GateKind::And.eval(&[]));
-        assert!(!GateKind::Or.eval(&[]));
-        assert!(!GateKind::Xor.eval(&[]));
+        assert!(GateKind::And.eval([true; 0]));
+        assert!(!GateKind::Or.eval([true; 0]));
+        assert!(!GateKind::Xor.eval([true; 0]));
     }
 
     #[test]
@@ -126,6 +133,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "exactly one input")]
     fn unary_gate_rejects_wide_fanin() {
-        GateKind::Not.eval(&[true, false]);
+        GateKind::Not.eval([true, false]);
     }
 }

@@ -295,17 +295,15 @@ impl Netlist {
     /// Evaluates every node under the given primary-input values.
     ///
     /// Unlisted primary inputs default to `false`. Returns the value of every
-    /// node indexed by [`NodeId::index`].
+    /// node indexed by [`NodeId::index`]; the returned vector is the only
+    /// allocation (each gate folds its fan-in values in place).
     pub fn evaluate<F: Fn(VarId) -> bool>(&self, input_value: F) -> Vec<bool> {
         let mut values = vec![false; self.nodes.len()];
         for (i, node) in self.nodes.iter().enumerate() {
             values[i] = match node {
                 NodeRef::Input(v) => input_value(*v),
                 NodeRef::Const(b) => *b,
-                NodeRef::Gate { kind, fanin } => {
-                    let inputs: Vec<bool> = fanin.iter().map(|f| values[f.index()]).collect();
-                    kind.eval(&inputs)
-                }
+                NodeRef::Gate { kind, fanin } => kind.eval(fanin.iter().map(|f| values[f.index()])),
             };
         }
         values

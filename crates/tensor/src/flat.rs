@@ -335,6 +335,46 @@ impl FlatKernel {
         }
     }
 
+    /// Hard-logic forward pass over 64 rows at once, one bit lane per row:
+    /// bit `j` of `inputs[c]` is input column `c` of row `j` hardened to a
+    /// bit, and bit `j` of `nodes[i]` receives node `i`'s Boolean value in
+    /// that row.
+    ///
+    /// Nodes run in the same CSR order as [`FlatKernel::forward`]. An input
+    /// reads its column's word; a constant is all ones when its value is
+    /// above one half and all zeros otherwise; a gate folds its fan-in words
+    /// with `&`, `|` or `^` and complements the result for the inverting
+    /// kinds. Lanes are independent, so whatever the caller puts in unused
+    /// lanes stays there. Allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` is shorter than [`FlatKernel::num_inputs`] or
+    /// `nodes` shorter than [`FlatKernel::num_nodes`].
+    pub fn forward_words(&self, inputs: &[u64], nodes: &mut [u64]) {
+        let n = self.opcodes.len();
+        let inputs = &inputs[..self.num_inputs];
+        let nodes = &mut nodes[..n];
+        for i in 0..n {
+            let fanin = &self.fanin[self.offsets[i] as usize..self.offsets[i + 1] as usize];
+            let words = fanin.iter().map(|&f| nodes[f as usize]);
+            let value = match self.opcodes[i] {
+                OpCode::Input => inputs[self.payload[i] as usize],
+                OpCode::Const if f32::from_bits(self.payload[i]) > 0.5 => !0,
+                OpCode::Const => 0,
+                OpCode::Buf => nodes[fanin[0] as usize],
+                OpCode::Not => !nodes[fanin[0] as usize],
+                OpCode::And => words.fold(!0, |a, w| a & w),
+                OpCode::Or => words.fold(0, |a, w| a | w),
+                OpCode::Nand => !words.fold(!0, |a, w| a & w),
+                OpCode::Nor => !words.fold(0, |a, w| a | w),
+                OpCode::Xor => words.fold(0, |a, w| a ^ w),
+                OpCode::Xnor => !words.fold(0, |a, w| a ^ w),
+            };
+            nodes[i] = value;
+        }
+    }
+
     /// Reverse pass from the constrained outputs to `grad_inputs`, returning
     /// the summed ℓ2 loss.
     ///
@@ -487,6 +527,27 @@ mod tests {
         c.forward_single(&inputs, &mut ref_acts);
         kernel.forward(&inputs, &mut ws);
         assert_eq!(ws.activations(), ref_acts.as_slice());
+    }
+
+    #[test]
+    fn word_forward_matches_the_soft_forward_at_every_corner() {
+        // All 16 corners of the 4 inputs, one per lane; lanes 16..64 hold
+        // ones and must not leak into the low lanes.
+        let c = all_gates_circuit();
+        let kernel = FlatKernel::compile(&c);
+        let inputs: Vec<u64> = (0..4)
+            .map(|col| (0..16).fold(!0u64 << 16, |w, lane| w | ((lane >> col) & 1) << lane))
+            .collect();
+        let mut nodes = vec![0u64; kernel.num_nodes()];
+        kernel.forward_words(&inputs, &mut nodes);
+        let mut ws = kernel.workspace();
+        for lane in 0..16 {
+            let corner: Vec<f32> = (0..4).map(|col| ((lane >> col) & 1) as f32).collect();
+            kernel.forward(&corner, &mut ws);
+            for (i, &act) in ws.activations().iter().enumerate() {
+                assert_eq!(nodes[i] >> lane & 1 == 1, act > 0.5, "lane {lane} node {i}");
+            }
+        }
     }
 
     #[test]
