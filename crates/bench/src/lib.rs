@@ -43,7 +43,7 @@ use htsat_core::{
 use htsat_instances::suite::{full_suite, table2_instances, SuiteScale};
 use htsat_instances::Instance;
 use htsat_runtime::derive_stream_seed;
-use htsat_tensor::{Backend, BatchMatrix};
+use htsat_tensor::{Backend, BatchMatrix, LANES};
 use std::time::Duration;
 
 /// Options shared by every experiment runner.
@@ -742,20 +742,23 @@ fn drive_wire_legs(
     (instance.name, legs, deterministic, client)
 }
 
-/// Rows the kernel oracle replays.
-const ORACLE_ROWS: usize = 8;
+/// Rows the kernel oracle replays: two full [`LANES`]-row blocks and a
+/// partial third.
+const ORACLE_ROWS: usize = 2 * LANES + 1;
 
 /// Descent iterations the kernel oracle replays per row (the paper's 5).
 const ORACLE_ITERATIONS: usize = 5;
 
-/// Row-level oracle for the sampler's fused inner loop: replays 8
-/// deterministic logit rows for 5 descent steps through
-/// [`htsat_tensor::FlatKernel::fused_gd_step`] and, independently, through
-/// the staged composition on the reference [`htsat_tensor::SoftCircuit`]
+/// Row-level oracle for the sampler's fused inner loop: replays 33
+/// deterministic logit rows for 5 descent steps through the block entry
+/// point the sampler's descend region runs
+/// ([`htsat_tensor::FlatKernel::fused_gd_block`], [`LANES`] rows per block:
+/// two full blocks and a partial one) and, independently, through the
+/// staged composition on the reference [`htsat_tensor::SoftCircuit`]
 /// (embed with [`ops::embed_logit`], loss and input gradient with
 /// `loss_and_grad_single`, chain rule through
-/// [`ops::sigmoid_grad_from_output`], descend). After every iteration the
-/// losses and logits of both must agree bit for bit.
+/// [`ops::sigmoid_grad_from_output`], descend). After every iteration each
+/// row's loss and logits must agree bit for bit.
 ///
 /// Returns the first row whose loss or logits diverge, or `None` when the
 /// two forms agree everywhere.
@@ -765,35 +768,44 @@ const ORACLE_ITERATIONS: usize = 5;
 pub fn kernel_oracle(compiled: &CompiledCircuit, learning_rate: f32) -> Option<usize> {
     use htsat_tensor::ops;
     let n = compiled.num_inputs();
-    let mut workspace = compiled.kernel.workspace();
+    // Logits spread over the sampler's default initialisation range.
+    let mut fused = BatchMatrix::from_fn(ORACLE_ROWS, n, |row, j| {
+        ((row * 31 + j * 7) % 41) as f32 / 10.0 - 2.0
+    });
+    let mut staged = fused.clone();
+    let mut workspace = compiled.kernel.lane_workspace::<LANES>();
+    let mut losses = [0.0f64; ORACLE_ROWS];
     let mut probs = vec![0.0f32; n];
     let mut grad = vec![0.0f32; n];
-    (0..ORACLE_ROWS).find(|&row| {
-        // Logits spread over the sampler's default initialisation range.
-        let init: Vec<f32> = (0..n)
-            .map(|j| ((row * 31 + j * 7) % 41) as f32 / 10.0 - 2.0)
-            .collect();
-        let mut fused = init.clone();
-        let mut staged = init;
-        (0..ORACLE_ITERATIONS).any(|_| {
-            let fused_loss =
+    let mut diverged = [false; ORACLE_ROWS];
+    for _ in 0..ORACLE_ITERATIONS {
+        for first in (0..ORACLE_ROWS).step_by(LANES) {
+            let rows = LANES.min(ORACLE_ROWS - first);
+            let block = &mut fused.as_mut_slice()[first * n..(first + rows) * n];
+            let loss =
                 compiled
                     .kernel
-                    .fused_gd_step(&mut fused, learning_rate, &mut workspace);
-            for (p, &v) in probs.iter_mut().zip(&staged) {
+                    .fused_gd_block(block, learning_rate, 1, || false, &mut workspace);
+            losses[first..first + rows].copy_from_slice(&loss[..rows]);
+        }
+        for (row, diverged) in diverged.iter_mut().enumerate() {
+            let logits = staged.row_mut(row);
+            for (p, &v) in probs.iter_mut().zip(logits.iter()) {
                 *p = ops::embed_logit(v);
             }
             let staged_loss = compiled.circuit.loss_and_grad_single(&probs, &mut grad);
-            for ((v, &g), &p) in staged.iter_mut().zip(&grad).zip(&probs) {
+            for ((v, &g), &p) in logits.iter_mut().zip(&grad).zip(&probs) {
                 *v -= learning_rate * (g * ops::sigmoid_grad_from_output(p));
             }
-            fused_loss.to_bits() != staged_loss.to_bits()
+            *diverged |= losses[row].to_bits() != staged_loss.to_bits()
                 || fused
+                    .row(row)
                     .iter()
-                    .zip(&staged)
-                    .any(|(a, b)| a.to_bits() != b.to_bits())
-        })
-    })
+                    .zip(staged.row(row))
+                    .any(|(a, b)| a.to_bits() != b.to_bits());
+        }
+    }
+    diverged.iter().position(|&d| d)
 }
 
 /// Rows the harden oracle replays: two full 64-row words and a partial

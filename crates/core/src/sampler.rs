@@ -8,14 +8,18 @@
 //! five iterations by default), the logits are hardened to bits, validated
 //! against the *original* CNF and deduplicated.
 //!
-//! The inner loop runs on the fused [`htsat_tensor::FlatKernel`]:
-//! embedding, forward, backward, chain rule and the descent update execute
-//! as one pass per row over a flat circuit layout, writing into per-worker
-//! [`htsat_tensor::Workspace`]s and updating the persistent logit matrix in
-//! place — zero allocations per row. The stage-by-stage
-//! [`htsat_tensor::SoftCircuit`] computes the identical math (bit for bit)
-//! and serves as the row-level oracle the kernel is checked against
-//! (`htsat_bench::kernel_oracle`).
+//! The inner loop runs on the fused [`htsat_tensor::FlatKernel`], [`LANES`]
+//! rows at a time: the descend region maps over `batch.div_ceil(LANES)`
+//! blocks, and each block is transposed into a per-worker lane-major
+//! [`htsat_tensor::Workspace`] once, runs every iteration — embedding,
+//! forward, backward, chain rule and the descent update as one pass over
+//! the flat circuit layout, each CSR step moving all of the block's rows
+//! through one node — and is transposed back into the persistent logit
+//! matrix. Zero allocations per block, and every row ends bit-identical to
+//! the one-row [`htsat_tensor::FlatKernel::fused_gd_step`]. The
+//! stage-by-stage [`htsat_tensor::SoftCircuit`] computes the identical math
+//! (bit for bit) and serves as the row-level oracle the kernel is checked
+//! against (`htsat_bench::kernel_oracle`).
 //!
 //! Hardening and validation run 64 rows per `u64` word, one bit lane per
 //! row ([`CompiledCircuit::harden_word`]): thresholded input words go
@@ -46,7 +50,7 @@ use crate::transform::{transform_with_config, TransformConfig, TransformResult};
 use crate::TransformError;
 use htsat_cnf::Cnf;
 use htsat_runtime::{derive_stream_seed, RoundSource, SampleStream, StopToken};
-use htsat_tensor::{Backend, BatchMatrix, MemoryModel};
+use htsat_tensor::{Backend, BatchMatrix, MemoryModel, LANES};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -306,11 +310,13 @@ impl crate::SampleEngine for PreparedFormula {
 
 /// The buffer model of one sampling round over `compiled` at `batch` rows
 /// and `workers` pool workers: the persistent logit matrix plus one
-/// workspace per worker.
+/// [`LANES`]-wide block workspace per worker, as the descend region builds
+/// them.
 fn memory_model(compiled: &CompiledCircuit, batch: usize, workers: usize) -> MemoryModel {
     MemoryModel::new(compiled.num_inputs(), compiled.circuit.num_nodes(), batch)
         .with_workers(workers)
         .with_max_fanin(compiled.kernel.max_fanin())
+        .with_lanes(LANES)
 }
 
 /// Rejects run-time configurations that would poison or panic the sampling
@@ -430,9 +436,10 @@ impl GdSampler {
         self.sample_round_cancellable(&StopToken::new())
     }
 
-    /// Like [`GdSampler::sample_round`], but polls `stop` during the
-    /// gradient-descent loop and per hardened 64-row word, returning early
-    /// (with an empty or partial batch) once it is set.
+    /// Like [`GdSampler::sample_round`], but polls `stop` before every
+    /// gradient-descent iteration of each block and per hardened 64-row
+    /// word, returning early (with an empty or partial batch) once it is
+    /// set.
     pub fn sample_round_cancellable(&mut self, stop: &StopToken) -> Vec<Vec<bool>> {
         let batch = self.config.batch_size;
         let n = self.compiled.num_inputs();
@@ -457,26 +464,25 @@ impl GdSampler {
         let iterations = self.config.iterations;
         let learning_rate = self.config.learning_rate;
         // The fused hot path: one parallel region runs every row's whole
-        // gradient-descent trajectory (rows are independent), each worker
-        // reusing one preallocated workspace. The kernel embeds, evaluates,
-        // differentiates and descends in a single pass per iteration with
-        // zero allocations per row.
+        // gradient-descent trajectory (rows are independent), LANES rows per
+        // block, each worker reusing one preallocated block workspace for
+        // every block it claims — zero allocations per block.
         let kernel = &self.compiled.kernel;
         {
             let _span = htsat_obs::span!("engine.gd.descend");
             backend.for_each_row_with(
                 logits.as_mut_slice(),
-                n,
-                || kernel.workspace(),
-                |_, row, ws| {
-                    let mut loss = 0.0;
-                    for _ in 0..iterations {
-                        if stop.is_stopped() {
-                            break;
-                        }
-                        loss = kernel.fused_gd_step(row, learning_rate, ws);
-                    }
-                    loss
+                n * LANES,
+                || kernel.lane_workspace::<LANES>(),
+                |_, block, ws| {
+                    let loss = kernel.fused_gd_block(
+                        block,
+                        learning_rate,
+                        iterations,
+                        || stop.is_stopped(),
+                        ws,
+                    );
+                    loss[..block.len() / n].iter().sum()
                 },
             );
         }
@@ -694,18 +700,50 @@ mod tests {
             .collect()
     }
 
+    /// Re-derives row `b`'s post-descent logits from its init stream
+    /// through the one-lane kernel: `iterations` calls of `fused_gd_step`.
+    fn scalar_descent(sampler: &GdSampler, round_seed: u64, b: usize) -> Vec<u32> {
+        let kernel = &sampler.compiled.kernel;
+        let SamplerConfig {
+            init_scale,
+            iterations,
+            learning_rate,
+            ..
+        } = sampler.config;
+        let mut rng = SmallRng::seed_from_u64(derive_stream_seed(round_seed, b));
+        let mut row: Vec<f32> = (0..kernel.num_inputs())
+            .map(|_| rng.gen_range(-init_scale..=init_scale))
+            .collect();
+        let mut ws = kernel.workspace();
+        for _ in 0..iterations {
+            kernel.fused_gd_step(&mut row, learning_rate, &mut ws);
+        }
+        row.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn word_rounds_match_the_scalar_oracle_at_word_boundaries() {
         let (mut valid, mut attempts) = (0, 0);
         for threads in [1, 3] {
-            for batch in [1, 63, 64, 65, 130] {
+            for batch in [1, 15, 16, 17, 33, 63, 64, 65, 130] {
                 let mut sampler = mixed_validity_sampler(batch, threads, batch as u64);
                 for round in 0..4 {
                     // The round draws its logit seed, then its free seed.
                     let mut rng = sampler.rng.clone();
-                    let _logit_seed: u64 = rng.gen();
+                    let logit_seed: u64 = rng.gen();
                     let free_seed: u64 = rng.gen();
                     let rows = sampler.sample_round();
+                    // Descent in LANES-row blocks leaves every row where the
+                    // one-lane kernel takes it, block boundaries included.
+                    for b in 0..batch {
+                        let block: Vec<u32> =
+                            sampler.logits.row(b).iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(
+                            block,
+                            scalar_descent(&sampler, logit_seed, b),
+                            "threads {threads}, batch {batch}, round {round}, row {b}"
+                        );
+                    }
                     assert_eq!(
                         rows,
                         scalar_round(&sampler, free_seed),
@@ -806,6 +844,20 @@ mod tests {
             assert_eq!(
                 sampler.memory_model_for_batch(batch),
                 prepared.memory_model(batch, workers)
+            );
+        }
+    }
+
+    #[test]
+    fn memory_model_counts_the_block_workspace_the_descend_region_builds() {
+        let prepared =
+            PreparedFormula::prepare(&mux_constrained_cnf(), &TransformConfig::default())
+                .expect("prepare");
+        let block = prepared.compiled.kernel.lane_workspace::<LANES>();
+        for batch in [1, 256] {
+            assert_eq!(
+                prepared.memory_model(batch, 1).workspace_bytes(),
+                block.bytes() as u64
             );
         }
     }

@@ -71,7 +71,8 @@ impl Backend {
     /// row-chunked buffer and sums the returned values, building one
     /// workspace with `init` **per worker per parallel region** — the entry
     /// point for allocation-free kernels such as
-    /// [`FlatKernel::fused_gd_step`](crate::FlatKernel::fused_gd_step).
+    /// [`FlatKernel::fused_gd_block`](crate::FlatKernel::fused_gd_block),
+    /// whose "rows" are blocks of [`LANES`](crate::LANES) batch rows.
     /// Each workspace is reused for every row its worker claims.
     pub fn for_each_row_with<W, I, F>(self, rows: &mut [f32], width: usize, init: I, f: F) -> f64
     where

@@ -8,14 +8,29 @@
 //! sampler's whole gradient-descent step out of a caller-owned
 //! [`Workspace`] — zero heap allocations per row.
 //!
-//! The kernel replicates the reference implementation *operation for
-//! operation* (same `ops::` calls, same accumulation order, same skip
-//! logic), so its losses and gradients are **bit-identical** to
-//! [`SoftCircuit::loss_and_grad_single`] — property-tested in
+//! There is one kernel body, generic over a lane count `L`: every node slot
+//! of a `Workspace<L>` holds `[f32; L]`, one value per batch row, so each
+//! CSR step moves `L` rows through one node in inner loops over the lanes
+//! that the compiler vectorises. The per-row API ([`FlatKernel::forward`],
+//! [`FlatKernel::loss_and_grad`], [`FlatKernel::fused_gd_step`]) is the
+//! `L = 1` instantiation; the sampler's descend region runs blocks of
+//! [`LANES`] rows through [`FlatKernel::fused_gd_block`].
+//!
+//! Every lane replays the reference implementation *operation for
+//! operation* (same `ops::` rules, same accumulation order, same binary fast
+//! paths). A node whose gradient is zero in every lane is skipped; otherwise
+//! each accumulation is a per-lane select that leaves the target untouched
+//! where the lane's gradient is zero, exactly as the reference skips the
+//! node. Losses and gradients are therefore **bit-identical** to
+//! [`SoftCircuit::loss_and_grad_single`] in every lane — property-tested in
 //! `tests/proptest_flat.rs` and replayed over the generated corpus in CI.
 
 use crate::circuit::{SoftCircuit, SoftGate};
 use crate::ops;
+
+/// Batch rows the sampler's descend region moves through the kernel per
+/// CSR step: one 64-byte cache line per node per buffer.
+pub const LANES: usize = 16;
 
 /// Dense per-node instruction of the flat kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,35 +58,41 @@ enum OpCode {
     Xnor,
 }
 
-/// Reusable per-worker scratch state for [`FlatKernel`] execution.
+/// Reusable per-worker scratch state for [`FlatKernel`] execution over `L`
+/// batch rows at once, one lane per row.
 ///
-/// A workspace owns every buffer a kernel invocation touches: the embedded
-/// probabilities and input gradients of one batch row, the node activations
-/// and node gradients, and the fan-in gather scratch. Build one with
-/// [`FlatKernel::workspace`], then reuse it for every row a worker
-/// processes — the kernels fully overwrite whatever they read, so a
-/// workspace carries no state between rows. Executors thread workspaces
+/// A workspace owns every buffer a kernel invocation touches: the logits,
+/// embedded probabilities and input gradients of its rows, the node
+/// activations and node gradients, and the fan-in gather scratch — each
+/// entry `[f32; L]`. Build one with [`FlatKernel::workspace`] (`L = 1`) or
+/// [`FlatKernel::lane_workspace`], then reuse it for every row or block a
+/// worker processes — the kernels fully overwrite whatever they read, so a
+/// workspace carries no state between calls. Executors thread workspaces
 /// through `reduce_rows_with`, building one per worker per parallel region.
 #[derive(Debug, Clone)]
-pub struct Workspace {
-    probs: Vec<f32>,
-    grad_inputs: Vec<f32>,
-    acts: Vec<f32>,
-    node_grad: Vec<f32>,
-    fanin_p: Vec<f32>,
-    fanin_g: Vec<f32>,
+pub struct Workspace<const L: usize = 1> {
+    logits: Vec<[f32; L]>,
+    probs: Vec<[f32; L]>,
+    grad_inputs: Vec<[f32; L]>,
+    acts: Vec<[f32; L]>,
+    node_grad: Vec<[f32; L]>,
+    fanin_p: Vec<[f32; L]>,
+    fanin_g: Vec<[f32; L]>,
 }
 
 impl Workspace {
     /// The node activations written by the last forward pass.
     pub fn activations(&self) -> &[f32] {
-        &self.acts
+        self.acts.as_flattened()
     }
+}
 
+impl<const L: usize> Workspace<L> {
     /// Total bytes of scratch this workspace owns.
     pub fn bytes(&self) -> usize {
-        std::mem::size_of::<f32>()
-            * (self.probs.capacity()
+        std::mem::size_of::<[f32; L]>()
+            * (self.logits.capacity()
+                + self.probs.capacity()
                 + self.grad_inputs.capacity()
                 + self.acts.capacity()
                 + self.node_grad.capacity()
@@ -167,44 +188,39 @@ impl FlatKernel {
         self.outputs.len()
     }
 
-    /// Builds a workspace sized for this kernel.
+    /// Builds a one-row workspace sized for this kernel.
     pub fn workspace(&self) -> Workspace {
+        self.lane_workspace()
+    }
+
+    /// Builds a workspace sized for this kernel that carries `L` rows side
+    /// by side, for [`FlatKernel::fused_gd_block`].
+    pub fn lane_workspace<const L: usize>(&self) -> Workspace<L> {
+        let lanes = |len| vec![[0.0; L]; len];
         Workspace {
-            probs: vec![0.0; self.num_inputs],
-            grad_inputs: vec![0.0; self.num_inputs],
-            acts: vec![0.0; self.opcodes.len()],
-            node_grad: vec![0.0; self.opcodes.len()],
-            fanin_p: vec![0.0; self.max_fanin],
-            fanin_g: vec![0.0; self.max_fanin],
+            logits: lanes(self.num_inputs),
+            probs: lanes(self.num_inputs),
+            grad_inputs: lanes(self.num_inputs),
+            acts: lanes(self.opcodes.len()),
+            node_grad: lanes(self.opcodes.len()),
+            fanin_p: lanes(self.max_fanin),
+            fanin_g: lanes(self.max_fanin),
         }
     }
 
     /// Debug-build guard: a workspace sized for a *different* kernel would
     /// not panic on its own (the fan-in gather zips against the scratch
     /// length and would silently truncate) — catch the misuse loudly.
-    fn check_workspace(&self, ws: &Workspace) {
-        debug_assert_eq!(
-            ws.acts.len(),
-            self.opcodes.len(),
-            "workspace/kernel mismatch"
-        );
-        debug_assert_eq!(
-            ws.node_grad.len(),
-            self.opcodes.len(),
-            "workspace/kernel mismatch"
-        );
-        debug_assert_eq!(ws.probs.len(), self.num_inputs, "workspace/kernel mismatch");
-        debug_assert_eq!(
-            ws.grad_inputs.len(),
-            self.num_inputs,
-            "workspace/kernel mismatch"
-        );
+    fn check_workspace<const L: usize>(&self, ws: &Workspace<L>) {
+        let nodes = self.opcodes.len();
         debug_assert!(
-            ws.fanin_p.len() >= self.max_fanin,
-            "workspace/kernel mismatch"
-        );
-        debug_assert!(
-            ws.fanin_g.len() >= self.max_fanin,
+            ws.acts.len() == nodes
+                && ws.node_grad.len() == nodes
+                && ws.logits.len() == self.num_inputs
+                && ws.probs.len() == self.num_inputs
+                && ws.grad_inputs.len() == self.num_inputs
+                && ws.fanin_p.len() >= self.max_fanin
+                && ws.fanin_g.len() >= self.max_fanin,
             "workspace/kernel mismatch"
         );
     }
@@ -215,7 +231,7 @@ impl FlatKernel {
     /// Matches [`SoftCircuit::forward_single`] bit for bit.
     pub fn forward(&self, inputs: &[f32], ws: &mut Workspace) {
         self.check_workspace(ws);
-        self.forward_into(inputs, &mut ws.acts, &mut ws.fanin_p);
+        self.forward_lanes(inputs.as_chunks().0, &mut ws.acts);
     }
 
     /// Loss and input gradient for one batch row, matching
@@ -238,8 +254,15 @@ impl FlatKernel {
             fanin_g,
             ..
         } = ws;
-        self.forward_into(inputs, acts, fanin_p);
-        self.backward_into(acts, node_grad, grad_inputs, fanin_p, fanin_g)
+        self.forward_lanes(inputs.as_chunks().0, acts);
+        let [loss] = self.backward_lanes(
+            acts,
+            node_grad,
+            grad_inputs.as_chunks_mut().0,
+            fanin_p,
+            fanin_g,
+        );
+        loss
     }
 
     /// The sampler's fused gradient-descent step for one batch row of
@@ -255,10 +278,48 @@ impl FlatKernel {
     ///
     /// Returns the row's loss. With `learning_rate == 0` this is a pure
     /// loss evaluation (the logits are left untouched), which is what the
-    /// finite-difference tests use.
+    /// finite-difference tests use. This is the one-lane instance of
+    /// [`FlatKernel::fused_gd_block`] running one iteration.
     pub fn fused_gd_step(&self, logits: &mut [f32], learning_rate: f32, ws: &mut Workspace) -> f64 {
+        let [loss] = self.fused_gd_block(logits, learning_rate, 1, || false, ws);
+        loss
+    }
+
+    /// Runs up to `iterations` fused gradient-descent steps (see
+    /// [`FlatKernel::fused_gd_step`]) on a block of at most `L` row-major
+    /// logit rows at once, one lane per row.
+    ///
+    /// The rows are transposed into the workspace once, `stopped` is polled
+    /// before every iteration (the block stops at the first `true`), and
+    /// the rows are transposed back. Lanes past the last row of a partial
+    /// block compute on zero logits and are never written back. Every row
+    /// ends bit-identical to running [`FlatKernel::fused_gd_step`] on it
+    /// the same number of times.
+    ///
+    /// Returns each lane's loss from the last iteration run (zero when none
+    /// ran).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is not a whole number of rows of
+    /// [`FlatKernel::num_inputs`] logits, or holds more than `L` of them.
+    pub fn fused_gd_block<const L: usize>(
+        &self,
+        rows: &mut [f32],
+        learning_rate: f32,
+        iterations: usize,
+        stopped: impl Fn() -> bool,
+        ws: &mut Workspace<L>,
+    ) -> [f64; L] {
         self.check_workspace(ws);
+        let n = self.num_inputs;
+        assert!(
+            rows.len() <= L * n && rows.len().is_multiple_of(n),
+            "a block holds at most {L} whole rows of {n} logits, got {} values",
+            rows.len()
+        );
         let Workspace {
+            logits,
             probs,
             grad_inputs,
             acts,
@@ -266,24 +327,48 @@ impl FlatKernel {
             fanin_p,
             fanin_g,
         } = ws;
-        for (p, &v) in probs.iter_mut().zip(logits.iter()) {
-            *p = ops::embed_logit(v);
+        if rows.len() < L * n {
+            logits.fill([0.0; L]);
         }
-        self.forward_into(probs, acts, fanin_p);
-        let loss = self.backward_into(acts, node_grad, grad_inputs, fanin_p, fanin_g);
-        for ((v, &g), &p) in logits.iter_mut().zip(grad_inputs.iter()).zip(probs.iter()) {
-            *v -= learning_rate * (g * ops::sigmoid_grad_from_output(p));
+        // `max(1)`: a kernel without inputs has no rows to move.
+        for (lane, row) in rows.chunks_exact(n.max(1)).enumerate() {
+            for (v, &x) in logits.iter_mut().zip(row) {
+                v[lane] = x;
+            }
+        }
+        let mut loss = [0.0; L];
+        for _ in 0..iterations {
+            if stopped() {
+                break;
+            }
+            for (p, v) in probs.iter_mut().zip(logits.iter()) {
+                *p = v.map(ops::embed_logit);
+            }
+            self.forward_lanes(probs, acts);
+            loss = self.backward_lanes(acts, node_grad, grad_inputs, fanin_p, fanin_g);
+            for ((v, g), p) in logits.iter_mut().zip(grad_inputs.iter()).zip(probs.iter()) {
+                for l in 0..L {
+                    v[l] -= learning_rate * (g[l] * ops::sigmoid_grad_from_output(p[l]));
+                }
+            }
+        }
+        for (lane, row) in rows.chunks_exact_mut(n.max(1)).enumerate() {
+            for (x, v) in row.iter_mut().zip(logits.iter()) {
+                *x = v[lane];
+            }
         }
         loss
     }
 
-    /// Forward pass writing every node activation into `acts`.
+    /// Forward pass writing every node activation into `acts`, `L` rows at
+    /// a time.
     ///
-    /// Replicates `SoftCircuit::forward_single` exactly: gather the fan-in
-    /// activations into scratch, apply the same `ops::` rule. The slice
-    /// lengths are pinned to the node count up front so the optimiser can
-    /// hoist the per-node bounds checks out of the loop.
-    fn forward_into(&self, inputs: &[f32], acts: &mut [f32], fanin_buf: &mut [f32]) {
+    /// Replicates `SoftCircuit::forward_single` in every lane: the same
+    /// `ops::` rule per gate, the n-ary folds in fan-in order (product from
+    /// `1.0`, XOR from `0.0`). The slice lengths are pinned to the node
+    /// count up front so the optimiser can hoist the per-node bounds checks
+    /// out of the loop.
+    fn forward_lanes<const L: usize>(&self, inputs: &[[f32; L]], acts: &mut [[f32; L]]) {
         let n = self.opcodes.len();
         let opcodes = &self.opcodes[..n];
         let payload = &self.payload[..n];
@@ -292,46 +377,45 @@ impl FlatKernel {
         let mut lo = 0usize;
         for i in 0..n {
             let hi = offsets[i + 1] as usize;
-            let k = hi - lo;
-            let op = opcodes[i];
-            // Fast path for the dominant shape: a binary gate. Skips the
-            // gather loop and the generic n-ary folds. Bit-identical to the
-            // generic rules because `1.0 * x == x` and `xor2(0, p) == p`
-            // exactly in IEEE arithmetic.
-            if k == 2 && !matches!(op, OpCode::Input | OpCode::Const) {
-                let p0 = acts[self.fanin[lo] as usize];
-                let p1 = acts[self.fanin[lo + 1] as usize];
-                acts[i] = match op {
-                    OpCode::Buf => p0,
-                    OpCode::Not => ops::not(p0),
-                    OpCode::And => p0 * p1,
-                    OpCode::Or => 1.0 - (1.0 - p0) * (1.0 - p1),
-                    OpCode::Nand => ops::not(p0 * p1),
-                    OpCode::Nor => ops::not(1.0 - (1.0 - p0) * (1.0 - p1)),
-                    OpCode::Xor => ops::xor2(p0, p1),
-                    OpCode::Xnor => 1.0 - ops::xor2(p0, p1),
-                    OpCode::Input | OpCode::Const => unreachable!("excluded above"),
-                };
-                lo = hi;
-                continue;
-            }
-            for (slot, &f) in fanin_buf.iter_mut().zip(&self.fanin[lo..hi]) {
-                *slot = acts[f as usize];
-            }
-            let ps = &fanin_buf[..k];
-            acts[i] = match op {
-                OpCode::Input => inputs[payload[i] as usize],
-                OpCode::Const => f32::from_bits(payload[i]),
-                OpCode::Buf => ps[0],
-                OpCode::Not => ops::not(ps[0]),
-                OpCode::And => ops::and(ps),
-                OpCode::Or => ops::or(ps),
-                OpCode::Nand => ops::not(ops::and(ps)),
-                OpCode::Nor => ops::not(ops::or(ps)),
-                OpCode::Xor => ops::xor(ps),
-                OpCode::Xnor => ops::xnor(ps),
-            };
+            let fanin = &self.fanin[lo..hi];
             lo = hi;
+            let op = opcodes[i];
+            // Fast path for the dominant shape: a binary gate. Bit-identical
+            // to the generic folds because `1.0 * x == x` and
+            // `xor2(0, p) == p` exactly in IEEE arithmetic.
+            let value = if fanin.len() == 2 && !matches!(op, OpCode::Input | OpCode::Const) {
+                let p0 = &acts[fanin[0] as usize];
+                let p1 = &acts[fanin[1] as usize];
+                match op {
+                    OpCode::Buf => *p0,
+                    OpCode::Not => p0.map(ops::not),
+                    OpCode::And => zip_lanes(p0, p1, |a, b| a * b),
+                    OpCode::Or => zip_lanes(p0, p1, |a, b| 1.0 - (1.0 - a) * (1.0 - b)),
+                    OpCode::Nand => zip_lanes(p0, p1, |a, b| ops::not(a * b)),
+                    OpCode::Nor => zip_lanes(p0, p1, |a, b| ops::not(1.0 - (1.0 - a) * (1.0 - b))),
+                    OpCode::Xor => zip_lanes(p0, p1, ops::xor2),
+                    OpCode::Xnor => zip_lanes(p0, p1, |a, b| 1.0 - ops::xor2(a, b)),
+                    OpCode::Input | OpCode::Const => unreachable!("excluded above"),
+                }
+            } else {
+                let product = |a: f32, p: f32| a * p;
+                let co_product = |a: f32, p: f32| a * (1.0 - p);
+                match op {
+                    OpCode::Input => inputs[payload[i] as usize],
+                    OpCode::Const => [f32::from_bits(payload[i]); L],
+                    OpCode::Buf => acts[fanin[0] as usize],
+                    OpCode::Not => acts[fanin[0] as usize].map(ops::not),
+                    OpCode::And => fold_lanes(acts, fanin, 1.0, product),
+                    OpCode::Or => fold_lanes(acts, fanin, 1.0, co_product).map(|q| 1.0 - q),
+                    OpCode::Nand => fold_lanes(acts, fanin, 1.0, product).map(ops::not),
+                    OpCode::Nor => {
+                        fold_lanes(acts, fanin, 1.0, co_product).map(|q| ops::not(1.0 - q))
+                    }
+                    OpCode::Xor => fold_lanes(acts, fanin, 0.0, ops::xor2),
+                    OpCode::Xnor => fold_lanes(acts, fanin, 0.0, ops::xor2).map(|q| 1.0 - q),
+                }
+            };
+            acts[i] = value;
         }
     }
 
@@ -375,30 +459,34 @@ impl FlatKernel {
         }
     }
 
-    /// Reverse pass from the constrained outputs to `grad_inputs`, returning
-    /// the summed ℓ2 loss.
+    /// Reverse pass from the constrained outputs to `grad_inputs`, `L` rows
+    /// at a time, returning each lane's summed ℓ2 loss.
     ///
     /// Replicates the reverse sweep of `SoftCircuit::loss_and_grad_single`
-    /// exactly: same zero-gradient skip, same special cases, same
-    /// prefix/suffix gradient rules, same accumulation order.
-    fn backward_into(
+    /// in every lane: same special cases, same prefix/suffix gradient
+    /// rules, same accumulation order. The reference skips a node whose
+    /// gradient is zero; here a node is skipped when its gradient is zero
+    /// in every lane, and otherwise each accumulation leaves the lanes with
+    /// a zero gradient untouched ([`add_where_live`]).
+    fn backward_lanes<const L: usize>(
         &self,
-        acts: &[f32],
-        node_grad: &mut [f32],
-        grad_inputs: &mut [f32],
-        fanin_p: &mut [f32],
-        fanin_g: &mut [f32],
-    ) -> f64 {
-        node_grad.fill(0.0);
-        let mut loss = 0.0f64;
+        acts: &[[f32; L]],
+        node_grad: &mut [[f32; L]],
+        grad_inputs: &mut [[f32; L]],
+        fanin_p: &mut [[f32; L]],
+        fanin_g: &mut [[f32; L]],
+    ) -> [f64; L] {
+        node_grad.fill([0.0; L]);
+        let mut loss = [0.0f64; L];
         for &(node, target) in &self.outputs {
-            let (l, g) = ops::l2_loss_and_grad(acts[node as usize], target);
-            loss += l as f64;
-            node_grad[node as usize] += g;
+            let node = node as usize;
+            for l in 0..L {
+                let (y, g) = ops::l2_loss_and_grad(acts[node][l], target);
+                loss[l] += y as f64;
+                node_grad[node][l] += g;
+            }
         }
-        for g in grad_inputs.iter_mut() {
-            *g = 0.0;
-        }
+        grad_inputs.fill([0.0; L]);
         let n = self.opcodes.len();
         let opcodes = &self.opcodes[..n];
         let payload = &self.payload[..n];
@@ -406,86 +494,151 @@ impl FlatKernel {
         let node_grad = &mut node_grad[..n];
         for i in (0..n).rev() {
             let g = node_grad[i];
-            if g == 0.0 {
+            if g.iter().fold(true, |dead, &x| dead & (x == 0.0)) {
                 continue;
             }
-            let lo = offsets[i] as usize;
-            let hi = offsets[i + 1] as usize;
-            let k = hi - lo;
+            let fanin = &self.fanin[offsets[i] as usize..offsets[i + 1] as usize];
             match opcodes[i] {
                 OpCode::Input => {
-                    grad_inputs[payload[i] as usize] += g;
+                    add_where_live(&mut grad_inputs[payload[i] as usize], &g, |a, g, _| a + g);
                     continue;
                 }
                 OpCode::Const => continue,
                 OpCode::Buf => {
-                    node_grad[self.fanin[lo] as usize] += g;
+                    add_where_live(&mut node_grad[fanin[0] as usize], &g, |a, g, _| a + g);
                     continue;
                 }
                 OpCode::Not => {
-                    node_grad[self.fanin[lo] as usize] -= g;
+                    add_where_live(&mut node_grad[fanin[0] as usize], &g, |a, g, _| a - g);
                     continue;
                 }
                 _ => {}
             }
+            let op = opcodes[i];
+            let sign = if matches!(op, OpCode::Nand | OpCode::Nor | OpCode::Xnor) {
+                -1.0f32
+            } else {
+                1.0
+            };
             // Fast path for binary gates: the per-input partials reduce to
             // closed forms, so the gather and the generic prefix/suffix
             // passes are skipped. Bit-identical to the generic rules (the
             // generic paths multiply the same factors by exactly 1.0).
-            if k == 2 {
-                let f0 = self.fanin[lo] as usize;
-                let f1 = self.fanin[lo + 1] as usize;
+            if let &[f0, f1] = fanin {
+                let (f0, f1) = (f0 as usize, f1 as usize);
                 let (p0, p1) = (acts[f0], acts[f1]);
-                let (g0, g1, sign) = match opcodes[i] {
-                    OpCode::And => (p1, p0, 1.0f32),
-                    OpCode::Nand => (p1, p0, -1.0),
-                    OpCode::Or => (1.0 - p1, 1.0 - p0, 1.0),
-                    OpCode::Nor => (1.0 - p1, 1.0 - p0, -1.0),
-                    OpCode::Xor => (1.0 - 2.0 * p1, 1.0 - 2.0 * p0, 1.0),
-                    OpCode::Xnor => (1.0 - 2.0 * p1, 1.0 - 2.0 * p0, -1.0),
+                let complement = |p: [f32; L]| p.map(|p| 1.0 - p);
+                let flip = |p: [f32; L]| p.map(|p| 1.0 - 2.0 * p);
+                let (g0, g1) = match op {
+                    OpCode::And | OpCode::Nand => (p1, p0),
+                    OpCode::Or | OpCode::Nor => (complement(p1), complement(p0)),
+                    OpCode::Xor | OpCode::Xnor => (flip(p1), flip(p0)),
                     _ => unreachable!("leaf and unary gates handled above"),
                 };
-                node_grad[f0] += sign * g * g0;
-                node_grad[f1] += sign * g * g1;
+                add_where_live(&mut node_grad[f0], &g, |a, g, l| a + sign * g * g0[l]);
+                add_where_live(&mut node_grad[f1], &g, |a, g, l| a + sign * g * g1[l]);
                 continue;
             }
-            for (slot, &f) in fanin_p.iter_mut().zip(&self.fanin[lo..hi]) {
+            for (slot, &f) in fanin_p.iter_mut().zip(fanin) {
                 *slot = acts[f as usize];
             }
-            let ps = &fanin_p[..k];
-            let gs = &mut fanin_g[..k];
-            let sign = match opcodes[i] {
-                OpCode::And => {
-                    ops::and_grad(ps, gs);
-                    1.0
-                }
-                OpCode::Nand => {
-                    ops::and_grad(ps, gs);
-                    -1.0
-                }
-                OpCode::Or => {
-                    ops::or_grad(ps, gs);
-                    1.0
-                }
-                OpCode::Nor => {
-                    ops::or_grad(ps, gs);
-                    -1.0
-                }
-                OpCode::Xor => {
-                    ops::xor_grad(ps, gs);
-                    1.0
-                }
-                OpCode::Xnor => {
-                    ops::xor_grad(ps, gs);
-                    -1.0
-                }
+            let ps = &fanin_p[..fanin.len()];
+            let gs = &mut fanin_g[..fanin.len()];
+            match op {
+                OpCode::And | OpCode::Nand => product_grad_lanes(ps, gs, |p| p),
+                OpCode::Or | OpCode::Nor => product_grad_lanes(ps, gs, |p| 1.0 - p),
+                OpCode::Xor | OpCode::Xnor => xor_grad_lanes(ps, gs),
                 _ => unreachable!("leaf and unary gates handled above"),
-            };
-            for (&f, &gf) in self.fanin[lo..hi].iter().zip(gs.iter()) {
-                node_grad[f as usize] += sign * g * gf;
+            }
+            for (&f, gf) in fanin.iter().zip(gs.iter()) {
+                add_where_live(&mut node_grad[f as usize], &g, |a, g, l| {
+                    a + sign * g * gf[l]
+                });
             }
         }
         loss
+    }
+}
+
+/// `f` applied lane by lane to two lane vectors.
+#[inline(always)]
+fn zip_lanes<const L: usize>(a: &[f32; L], b: &[f32; L], f: impl Fn(f32, f32) -> f32) -> [f32; L] {
+    std::array::from_fn(|l| f(a[l], b[l]))
+}
+
+/// Folds the activations of `fanin` into one lane vector, starting every
+/// lane at `init` and combining in fan-in order.
+#[inline(always)]
+fn fold_lanes<const L: usize>(
+    acts: &[[f32; L]],
+    fanin: &[u32],
+    init: f32,
+    f: impl Fn(f32, f32) -> f32,
+) -> [f32; L] {
+    fanin
+        .iter()
+        .fold([init; L], |acc, &j| zip_lanes(&acc, &acts[j as usize], &f))
+}
+
+/// Sets `acc[l] = f(acc[l], g[l], l)` in every lane whose gradient `g[l]`
+/// is non-zero and leaves the other lanes untouched — the per-lane form of
+/// the reference's "skip a node with zero gradient", which keeps signed
+/// zeros and non-finite partials out of the accumulators exactly as it
+/// does.
+#[inline(always)]
+fn add_where_live<const L: usize>(
+    acc: &mut [f32; L],
+    g: &[f32; L],
+    f: impl Fn(f32, f32, usize) -> f32,
+) {
+    for l in 0..L {
+        let updated = f(acc[l], g[l], l);
+        acc[l] = if g[l] == 0.0 { acc[l] } else { updated };
+    }
+}
+
+/// Lane form of [`ops::and_grad`] (`factor(p) = p`) and [`ops::or_grad`]
+/// (`factor(p) = 1 - p`): `out[i] = ∏_{j≠i} factor(ps[j])` by the same
+/// prefix and suffix products.
+#[inline(always)]
+fn product_grad_lanes<const L: usize>(
+    ps: &[[f32; L]],
+    out: &mut [[f32; L]],
+    factor: impl Fn(f32) -> f32,
+) {
+    let mut prefix = [1.0f32; L];
+    for (o, p) in out.iter_mut().zip(ps) {
+        *o = prefix;
+        for l in 0..L {
+            prefix[l] *= factor(p[l]);
+        }
+    }
+    let mut suffix = [1.0f32; L];
+    for (o, p) in out.iter_mut().zip(ps).rev() {
+        for l in 0..L {
+            o[l] *= suffix[l];
+            suffix[l] *= factor(p[l]);
+        }
+    }
+}
+
+/// Lane form of [`ops::xor_grad`]: the fold's upstream factor
+/// `1 - 2·acc` times the downstream product of `1 - 2·p`.
+#[inline(always)]
+fn xor_grad_lanes<const L: usize>(ps: &[[f32; L]], out: &mut [[f32; L]]) {
+    let mut acc = [0.0f32; L];
+    for (o, p) in out.iter_mut().zip(ps) {
+        for l in 0..L {
+            o[l] = 1.0 - 2.0 * acc[l];
+            acc[l] = ops::xor2(acc[l], p[l]);
+        }
+    }
+    let mut downstream = [1.0f32; L];
+    for (o, p) in out.iter_mut().zip(ps).rev() {
+        for l in 0..L {
+            o[l] *= downstream[l];
+            downstream[l] *= 1.0 - 2.0 * p[l];
+        }
     }
 }
 

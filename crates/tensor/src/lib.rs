@@ -18,8 +18,9 @@
 //!   implementation),
 //! * [`FlatKernel`] / [`Workspace`] — the same circuit compiled once into a
 //!   CSR-style flat layout, executing the sampler's fused
-//!   sigmoid + forward + backward + descent step with zero allocations per
-//!   row out of reusable per-worker workspaces,
+//!   sigmoid + forward + backward + descent step on blocks of [`LANES`]
+//!   rows (one lane per row) with zero allocations out of reusable
+//!   per-worker workspaces,
 //! * [`Backend`] — `Sequential` (the paper's CPU baseline) or `Threads(n)`
 //!   (the [`htsat_runtime`] thread pool across the batch, standing in for
 //!   the GPU),
@@ -54,6 +55,6 @@ pub mod ops;
 
 pub use backend::Backend;
 pub use circuit::{NodeIdx, SoftCircuit, SoftGate, SoftNode};
-pub use flat::{FlatKernel, Workspace};
+pub use flat::{FlatKernel, Workspace, LANES};
 pub use matrix::BatchMatrix;
 pub use memory::MemoryModel;

@@ -11,8 +11,9 @@
 //!   hardened bit per input per row.
 //! * **Workspaces** scale with the worker count, *not* the batch: each pool
 //!   worker owns one [`Workspace`](crate::Workspace) per parallel region
-//!   (probabilities, input gradients, node activations, node gradients and
-//!   fan-in scratch), reused for every row it claims.
+//!   (logits, probabilities, input gradients, node activations, node
+//!   gradients and fan-in scratch, each `lanes` values wide), reused for
+//!   every row or block it claims.
 //!
 //! This is the key difference from a GPU resident-activation model (and
 //! from this crate's pre-flat-kernel execution model): activations cost
@@ -32,6 +33,9 @@ pub struct MemoryModel {
     pub workers: usize,
     /// Widest gate fan-in (sizes the per-workspace gather scratch).
     pub max_fanin: usize,
+    /// Batch rows each workspace carries side by side: 1 for a per-row
+    /// workspace, [`LANES`](crate::LANES) for the sampler's descend blocks.
+    pub lanes: usize,
     /// Extra `[batch, inputs]` f32 matrices resident during a step — 0 for
     /// the fused flat kernel; 2 for a staged batched [`SoftCircuit`] pass
     /// such as the DiffSampler baseline (the cloned probability matrix and
@@ -43,9 +47,10 @@ pub struct MemoryModel {
 
 impl MemoryModel {
     /// Creates a model for a circuit of `num_nodes` nodes with `num_inputs`
-    /// learnable inputs at the given batch size, assuming one worker and no
-    /// fan-in scratch. Refine with [`MemoryModel::with_workers`] and
-    /// [`MemoryModel::with_max_fanin`].
+    /// learnable inputs at the given batch size, assuming one worker, no
+    /// fan-in scratch and one-row workspaces. Refine with
+    /// [`MemoryModel::with_workers`], [`MemoryModel::with_max_fanin`] and
+    /// [`MemoryModel::with_lanes`].
     pub fn new(num_inputs: usize, num_nodes: usize, batch: usize) -> Self {
         MemoryModel {
             num_inputs,
@@ -53,6 +58,7 @@ impl MemoryModel {
             batch,
             workers: 1,
             max_fanin: 0,
+            lanes: 1,
             staged_matrices: 0,
         }
     }
@@ -68,6 +74,13 @@ impl MemoryModel {
     #[must_use]
     pub fn with_max_fanin(mut self, max_fanin: usize) -> Self {
         self.max_fanin = max_fanin;
+        self
+    }
+
+    /// Sets how many batch rows each workspace carries side by side.
+    #[must_use]
+    pub fn with_lanes(mut self, lanes: usize) -> Self {
+        self.lanes = lanes;
         self
     }
 
@@ -92,14 +105,16 @@ impl MemoryModel {
         cells * 4 + cells
     }
 
-    /// Bytes used by the per-worker workspaces: per worker, two
-    /// input-width rows (probabilities and input gradients), two node-width
-    /// buffers (activations and node gradients) and two fan-in gather
-    /// buffers, all f32 — independent of the batch size.
+    /// Bytes used by the per-worker workspaces: per worker and lane, three
+    /// input-width buffers (logits, probabilities and input gradients), two
+    /// node-width buffers (activations and node gradients) and two fan-in
+    /// gather buffers, all f32 — independent of the batch size. Equal to
+    /// [`Workspace::bytes`](crate::Workspace::bytes) of each worker's
+    /// workspace.
     pub fn workspace_bytes(&self) -> u64 {
-        let per_worker =
-            2 * (self.num_inputs as u64 + self.num_nodes as u64 + self.max_fanin as u64);
-        self.workers as u64 * per_worker * 4
+        let per_lane =
+            3 * self.num_inputs as u64 + 2 * (self.num_nodes as u64 + self.max_fanin as u64);
+        self.workers as u64 * self.lanes as u64 * per_lane * 4
     }
 
     /// Total modelled bytes.
@@ -133,6 +148,10 @@ mod tests {
         assert_eq!(eight.workspace_bytes(), 8 * one.workspace_bytes());
         let huge_batch = MemoryModel::new(100, 1000, 1_000_000).with_workers(8);
         assert_eq!(huge_batch.workspace_bytes(), eight.workspace_bytes());
+        // A block workspace carries its lanes side by side.
+        let blocks = eight.with_lanes(16);
+        assert_eq!(blocks.workspace_bytes(), 16 * eight.workspace_bytes());
+        assert_eq!(blocks.persistent_bytes(), eight.persistent_bytes());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Proof that the fused kernel's inner loop performs **zero heap
-//! allocations per row** — the acceptance criterion of the flat-kernel
-//! rework, checked with a counting global allocator rather than a promise.
+//! allocations per row** — one row at a time, and in the sampler's
+//! `LANES`-row blocks (transpose in, every iteration, transpose out) —
+//! checked with a counting global allocator rather than a promise.
 //! The loop runs with `htsat-obs` instrumentation (a span guard and a
 //! counter per row) armed, so the proof covers the kernel *as instrumented
 //! code observes it*, not a bare variant.
@@ -8,7 +9,7 @@
 //! Runs without the libtest harness (`harness = false` in `Cargo.toml`) so
 //! no concurrent harness thread can allocate while the counter is armed.
 
-use htsat_tensor::{FlatKernel, SoftCircuit, SoftGate};
+use htsat_tensor::{FlatKernel, SoftCircuit, SoftGate, LANES};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -64,6 +65,7 @@ fn main() {
 
     let kernel = FlatKernel::compile(&c);
     let mut ws = kernel.workspace();
+    let mut block_ws = kernel.lane_workspace::<LANES>();
     let mut grad = vec![0.0f32; 4];
     let mut rows: Vec<[f32; 4]> = (0..256)
         .map(|i| {
@@ -83,6 +85,14 @@ fn main() {
         htsat_obs::counter!("alloc.gd_rows").inc();
         loss
     };
+    // Two full blocks and a partial third, five iterations each.
+    let mut blocks: Vec<f32> = rows.iter().take(2 * LANES + 5).flatten().copied().collect();
+    let block_step = move |block: &mut [f32], ws: &mut _| -> f64 {
+        let _span = htsat_obs::span!("alloc.gd_block");
+        let loss = kernel_ref.fused_gd_block(block, 10.0, 5, || false, ws);
+        htsat_obs::counter!("alloc.gd_blocks").inc();
+        loss.iter().sum()
+    };
 
     // Warm-up: everything that may lazily allocate does so here — including
     // the first execution of the instrumented step, which registers its
@@ -90,6 +100,7 @@ fn main() {
     let mut row = rows[0];
     step(&mut row, &mut ws);
     kernel.loss_and_grad(&[0.5, 0.5, 0.5, 0.5], &mut grad, &mut ws);
+    block_step(&mut blocks[..4 * LANES], &mut block_ws);
 
     ALLOCATIONS.store(0, Ordering::SeqCst);
     TRACKING.store(true, Ordering::SeqCst);
@@ -102,6 +113,16 @@ fn main() {
     TRACKING.store(false, Ordering::SeqCst);
     let counted = ALLOCATIONS.load(Ordering::SeqCst);
 
+    ALLOCATIONS.store(0, Ordering::SeqCst);
+    TRACKING.store(true, Ordering::SeqCst);
+    for _ in 0..100 {
+        for block in blocks.chunks_mut(4 * LANES) {
+            total += block_step(block, &mut block_ws);
+        }
+    }
+    TRACKING.store(false, Ordering::SeqCst);
+    let counted_blocks = ALLOCATIONS.load(Ordering::SeqCst);
+
     assert!(total.is_finite());
     assert_eq!(
         counted, 0,
@@ -109,5 +130,11 @@ fn main() {
     );
     assert_eq!(htsat_obs::global().counter("alloc.gd_rows").get(), 2049);
     assert_eq!(htsat_obs::global().histogram("alloc.gd_step").count(), 2049);
+    assert_eq!(
+        counted_blocks, 0,
+        "fused GD block step (with instrumentation) allocated {counted_blocks} times over 300 blocks"
+    );
+    assert_eq!(htsat_obs::global().counter("alloc.gd_blocks").get(), 301);
     println!("test fused_gd_step_performs_zero_allocations_per_row ... ok (0 allocations over 2048 instrumented rows)");
+    println!("test fused_gd_block_performs_zero_allocations_per_block ... ok (0 allocations over 300 instrumented {LANES}-row blocks)");
 }
