@@ -2,11 +2,9 @@
 //!
 //! CMSGen ("Designing Samplers is Easy: The Boon of Testers", FMCAD 2021) is
 //! CryptoMiniSat with random polarities, random branching and frequent
-//! restarts, re-run once per requested sample. [`CmsGenLike`] is the same
-//! recipe on top of this workspace's CDCL solver, exposed through the
-//! engine API by [`CmsGenEngine`].
+//! restarts, re-run once per requested sample. [`CmsGenEngine`] is the same
+//! recipe on top of this workspace's CDCL solver.
 
-use crate::SatSampler;
 use htsat_cnf::Cnf;
 use htsat_core::{BoxedSession, SampleEngine, SessionConfig, TransformError};
 use htsat_runtime::{RoundSource, StopToken};
@@ -17,75 +15,26 @@ use std::sync::Arc;
 /// at which deadlines and stop tokens are checked by the stream.
 const SOLVES_PER_ROUND: usize = 8;
 
-/// Configuration of the CMSGen-style sampler.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CmsGenConfig {
-    /// Probability of a random branching decision.
-    pub random_branch_freq: f64,
-    /// Base seed; each sample uses `seed + sample_index`.
-    pub seed: u64,
-    /// Conflict budget per sample (`None` = unlimited).
-    pub max_conflicts_per_sample: Option<u64>,
-}
+/// Probability of a random branching decision.
+const RANDOM_BRANCH_FREQ: f64 = 0.2;
 
-impl Default for CmsGenConfig {
-    fn default() -> Self {
-        CmsGenConfig {
-            random_branch_freq: 0.2,
-            seed: 0,
-            max_conflicts_per_sample: Some(100_000),
-        }
-    }
-}
+/// Conflict budget per solve; a solve that exhausts it counts as an attempt
+/// and the next seed is tried.
+const MAX_CONFLICTS_PER_SOLVE: u64 = 100_000;
 
-/// A CMSGen-style diverse-solution sampler.
-#[derive(Debug, Clone, Default)]
-pub struct CmsGenLike {
-    config: CmsGenConfig,
-}
-
-impl CmsGenLike {
-    /// Creates a sampler with default configuration.
-    pub fn new() -> Self {
-        CmsGenLike::default()
-    }
-
-    /// Creates a sampler with an explicit configuration.
-    pub fn with_config(config: CmsGenConfig) -> Self {
-        CmsGenLike { config }
-    }
-}
-
-impl SatSampler for CmsGenLike {
-    fn name(&self) -> &'static str {
-        "cmsgen"
-    }
-
-    fn engine(&self, cnf: &Cnf) -> Result<Box<dyn SampleEngine>, TransformError> {
-        Ok(Box::new(CmsGenEngine::prepare(cnf, self.config.clone())))
-    }
-
-    fn session_config(&self) -> SessionConfig {
-        SessionConfig::with_seed(self.config.seed)
-    }
-}
-
-/// The prepared CMSGen-style engine: the formula plus the randomised-CDCL
-/// parameters.
+/// The prepared CMSGen-style engine: the formula, solved with randomised
+/// CDCL (sessions seed from their [`SessionConfig`]).
 #[derive(Debug, Clone)]
 pub struct CmsGenEngine {
     cnf: Arc<Cnf>,
-    config: CmsGenConfig,
 }
 
 impl CmsGenEngine {
-    /// Prepares the engine for `cnf` (`config.seed` is ignored: sessions
-    /// seed from their [`SessionConfig`]).
+    /// Prepares the engine for `cnf`.
     #[must_use]
-    pub fn prepare(cnf: &Cnf, config: CmsGenConfig) -> Self {
+    pub fn prepare(cnf: &Cnf) -> Self {
         CmsGenEngine {
             cnf: Arc::new(cnf.clone()),
-            config,
         }
     }
 }
@@ -102,9 +51,9 @@ impl SampleEngine for CmsGenEngine {
     fn session(&self, config: &SessionConfig) -> Result<BoxedSession, TransformError> {
         let solver_config = CdclConfig {
             random_polarity: true,
-            random_branch_freq: self.config.random_branch_freq,
+            random_branch_freq: RANDOM_BRANCH_FREQ,
             seed: config.seed,
-            max_conflicts: self.config.max_conflicts_per_sample,
+            max_conflicts: Some(MAX_CONFLICTS_PER_SOLVE),
             ..CdclConfig::default()
         };
         Ok(Box::new(CmsGenSession {
@@ -119,8 +68,8 @@ impl SampleEngine for CmsGenEngine {
 
 /// One request's solver state. The solver is created once per session and
 /// re-seeded per solve (solve `i` uses `session_seed + i`), so learned
-/// clauses accumulate across solves exactly as in the blocking recipe and
-/// the model sequence is a function of the seed alone.
+/// clauses accumulate across solves as in the CMSGen recipe and the model
+/// sequence is a function of the seed alone.
 struct CmsGenSession {
     solver: CdclSolver,
     seed: u64,
@@ -171,25 +120,26 @@ impl RoundSource for CmsGenSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{assert_valid_unique, gate_cnf, loose_cnf};
-    use std::time::Duration;
+    use crate::test_support::{assert_valid_unique, gate_cnf, loose_cnf, sample};
 
     #[test]
     fn finds_diverse_solutions_on_loose_formula() {
         let cnf = loose_cnf();
-        let mut sampler = CmsGenLike::new();
-        let run = sampler.sample(&cnf, 10, Duration::from_secs(5));
-        assert!(run.solutions.len() >= 5, "found {}", run.solutions.len());
-        assert_valid_unique(&run, &cnf);
+        let report = sample("cmsgen", &cnf, 10);
+        assert!(
+            report.solutions.len() >= 5,
+            "found {}",
+            report.solutions.len()
+        );
+        assert_valid_unique(&report, &cnf);
     }
 
     #[test]
     fn respects_gate_constraints() {
         let cnf = gate_cnf();
-        let mut sampler = CmsGenLike::new();
-        let run = sampler.sample(&cnf, 5, Duration::from_secs(5));
-        assert!(!run.solutions.is_empty());
-        assert_valid_unique(&run, &cnf);
+        let report = sample("cmsgen", &cnf, 5);
+        assert!(!report.solutions.is_empty());
+        assert_valid_unique(&report, &cnf);
     }
 
     #[test]
@@ -197,8 +147,7 @@ mod tests {
         let mut cnf = Cnf::new(1);
         cnf.add_dimacs_clause([1]);
         cnf.add_dimacs_clause([-1]);
-        let run = CmsGenLike::new().sample(&cnf, 5, Duration::from_secs(2));
-        assert!(run.solutions.is_empty());
+        assert!(sample("cmsgen", &cnf, 5).solutions.is_empty());
     }
 
     #[test]
@@ -207,15 +156,15 @@ mod tests {
         let mut cnf = Cnf::new(2);
         cnf.add_dimacs_clause([1, 2]);
         cnf.add_dimacs_clause([-1, -2]);
-        let run = CmsGenLike::new().sample(&cnf, 100, Duration::from_secs(5));
-        assert!(run.solutions.len() <= 2);
-        assert!(!run.solutions.is_empty());
+        let report = sample("cmsgen", &cnf, 100);
+        assert!(report.solutions.len() <= 2);
+        assert!(!report.solutions.is_empty());
     }
 
     #[test]
     fn engine_sessions_are_seed_deterministic() {
         let cnf = loose_cnf();
-        let engine = CmsGenEngine::prepare(&cnf, CmsGenConfig::default());
+        let engine = CmsGenEngine::prepare(&cnf);
         let take = |seed: u64| -> Vec<Vec<bool>> {
             engine
                 .stream(&SessionConfig::with_seed(seed))

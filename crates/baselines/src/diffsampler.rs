@@ -5,14 +5,11 @@
 //! of all clause values from 1 with a GPU-accelerated optimiser. It is the
 //! closest prior work to the paper's sampler but skips the CNF-to-circuit
 //! transformation, so comparing the two isolates the transformation's
-//! contribution. [`DiffSamplerLike`] builds the soft-CNF model on the same
-//! tensor backend used by the transformed-circuit sampler.
-//!
-//! [`DiffSamplerEngine`] is the prepare-once form: the soft-CNF circuit is
-//! built a single time and shared by every minted session, mirroring how
+//! contribution. [`DiffSamplerEngine`] builds the soft-CNF model on the same
+//! tensor backend used by the transformed-circuit sampler, a single time,
+//! and shares it with every minted session, mirroring how
 //! [`htsat_core::PreparedFormula`] shares its compiled circuit.
 
-use crate::SatSampler;
 use htsat_cnf::Cnf;
 use htsat_core::{BoxedSession, SampleEngine, SessionConfig, TransformError};
 use htsat_runtime::{derive_stream_seed, RoundSource, StopToken};
@@ -21,129 +18,70 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-/// Configuration of the DiffSampler-style sampler.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiffSamplerConfig {
-    /// Batch size (independent candidates learned in parallel).
-    pub batch_size: usize,
-    /// Gradient-descent iterations per round.
-    pub iterations: usize,
-    /// Learning rate.
-    pub learning_rate: f32,
-    /// Execution backend.
-    pub backend: Backend,
-    /// RNG seed.
-    pub seed: u64,
-    /// Scale of the uniform logit initialisation.
-    pub init_scale: f32,
-}
+/// Candidates learned in parallel per round, unless the session overrides
+/// it ([`SessionConfig::batch`]).
+const BATCH_SIZE: usize = 256;
 
-impl Default for DiffSamplerConfig {
-    fn default() -> Self {
-        DiffSamplerConfig {
-            batch_size: 256,
-            iterations: 20,
-            learning_rate: 2.0,
-            backend: Backend::default(),
-            seed: 0,
-            init_scale: 2.0,
-        }
-    }
-}
+/// Gradient-descent iterations per round.
+const ITERATIONS: usize = 20;
 
-/// A DiffSampler-style differentiable CNF sampler.
-#[derive(Debug, Clone, Default)]
-pub struct DiffSamplerLike {
-    config: DiffSamplerConfig,
-}
+/// Learning rate of the descent.
+const LEARNING_RATE: f32 = 2.0;
 
-impl DiffSamplerLike {
-    /// Creates a sampler with default configuration.
-    pub fn new() -> Self {
-        DiffSamplerLike::default()
-    }
+/// Scale of the uniform logit initialisation.
+const INIT_SCALE: f32 = 2.0;
 
-    /// Creates a sampler with an explicit configuration.
-    pub fn with_config(config: DiffSamplerConfig) -> Self {
-        DiffSamplerLike { config }
-    }
-
-    /// Builds the soft-CNF circuit: one OR node per clause, each constrained
-    /// to 1, with literal polarity handled by NOT nodes.
-    fn build_soft_cnf(cnf: &Cnf) -> SoftCircuit {
-        let n = cnf.num_vars();
-        let mut circuit = SoftCircuit::new(n);
-        let inputs: Vec<usize> = (0..n).map(|i| circuit.input(i)).collect();
-        let mut negated: Vec<Option<usize>> = vec![None; n];
-        for clause in cnf.clauses() {
-            let mut fanin = Vec::with_capacity(clause.len());
-            for lit in clause.lits() {
-                let v = lit.var().as_usize();
-                if lit.is_positive() {
-                    fanin.push(inputs[v]);
-                } else {
-                    let node = match negated[v] {
-                        Some(node) => node,
-                        None => {
-                            let node = circuit.gate(SoftGate::Not, vec![inputs[v]]);
-                            negated[v] = Some(node);
-                            node
-                        }
-                    };
-                    fanin.push(node);
-                }
-            }
-            let clause_node = if fanin.len() == 1 {
-                fanin[0]
+/// Builds the soft-CNF circuit: one OR node per clause, each constrained
+/// to 1, with literal polarity handled by NOT nodes.
+fn build_soft_cnf(cnf: &Cnf) -> SoftCircuit {
+    let n = cnf.num_vars();
+    let mut circuit = SoftCircuit::new(n);
+    let inputs: Vec<usize> = (0..n).map(|i| circuit.input(i)).collect();
+    let mut negated: Vec<Option<usize>> = vec![None; n];
+    for clause in cnf.clauses() {
+        let mut fanin = Vec::with_capacity(clause.len());
+        for lit in clause.lits() {
+            let v = lit.var().as_usize();
+            if lit.is_positive() {
+                fanin.push(inputs[v]);
             } else {
-                circuit.gate(SoftGate::Or, fanin)
-            };
-            circuit.constrain(clause_node, 1.0);
+                let node = match negated[v] {
+                    Some(node) => node,
+                    None => {
+                        let node = circuit.gate(SoftGate::Not, vec![inputs[v]]);
+                        negated[v] = Some(node);
+                        node
+                    }
+                };
+                fanin.push(node);
+            }
         }
-        circuit
+        let clause_node = if fanin.len() == 1 {
+            fanin[0]
+        } else {
+            circuit.gate(SoftGate::Or, fanin)
+        };
+        circuit.constrain(clause_node, 1.0);
     }
-}
-
-impl SatSampler for DiffSamplerLike {
-    fn name(&self) -> &'static str {
-        "diffsampler"
-    }
-
-    fn engine(&self, cnf: &Cnf) -> Result<Box<dyn SampleEngine>, TransformError> {
-        Ok(Box::new(DiffSamplerEngine::prepare(
-            cnf,
-            self.config.clone(),
-        )))
-    }
-
-    fn session_config(&self) -> SessionConfig {
-        SessionConfig {
-            seed: self.config.seed,
-            backend: self.config.backend,
-            batch: None,
-        }
-    }
+    circuit
 }
 
 /// The prepared DiffSampler-style engine: the soft-CNF circuit, built once
-/// and shared (behind an [`Arc`]) with every minted session.
+/// and shared (behind an [`Arc`]) with every minted session. Sessions take
+/// their seed, backend and batch override from their [`SessionConfig`].
 #[derive(Debug, Clone)]
 pub struct DiffSamplerEngine {
     cnf: Arc<Cnf>,
     circuit: Arc<SoftCircuit>,
-    config: DiffSamplerConfig,
 }
 
 impl DiffSamplerEngine {
-    /// Builds the soft clause relaxation of `cnf` (`config.seed` and
-    /// `config.backend` are ignored: sessions take both from their
-    /// [`SessionConfig`]).
+    /// Builds the soft clause relaxation of `cnf`.
     #[must_use]
-    pub fn prepare(cnf: &Cnf, config: DiffSamplerConfig) -> Self {
+    pub fn prepare(cnf: &Cnf) -> Self {
         DiffSamplerEngine {
-            circuit: Arc::new(DiffSamplerLike::build_soft_cnf(cnf)),
+            circuit: Arc::new(build_soft_cnf(cnf)),
             cnf: Arc::new(cnf.clone()),
-            config,
         }
     }
 }
@@ -158,7 +96,7 @@ impl SampleEngine for DiffSamplerEngine {
     }
 
     fn session(&self, config: &SessionConfig) -> Result<BoxedSession, TransformError> {
-        let batch_size = config.batch.unwrap_or(self.config.batch_size);
+        let batch_size = config.batch.unwrap_or(BATCH_SIZE);
         if batch_size == 0 {
             return Err(TransformError::InvalidConfig(
                 "batch size must be non-zero".into(),
@@ -167,12 +105,8 @@ impl SampleEngine for DiffSamplerEngine {
         Ok(Box::new(DiffSamplerSession {
             cnf: self.cnf.clone(),
             circuit: self.circuit.clone(),
-            config: DiffSamplerConfig {
-                batch_size,
-                backend: config.backend,
-                seed: config.seed,
-                ..self.config.clone()
-            },
+            batch_size,
+            backend: config.backend,
             rng: SmallRng::seed_from_u64(config.seed),
             last_attempts: 0,
         }))
@@ -197,7 +131,8 @@ impl SampleEngine for DiffSamplerEngine {
 struct DiffSamplerSession {
     cnf: Arc<Cnf>,
     circuit: Arc<SoftCircuit>,
-    config: DiffSamplerConfig,
+    batch_size: usize,
+    backend: Backend,
     rng: SmallRng,
     /// Candidates the most recent round actually hardened (zero when a stop
     /// token abandoned the descent mid-round), reported via `round_size`.
@@ -210,14 +145,13 @@ impl RoundSource for DiffSamplerSession {
     fn round(&mut self, stop: &StopToken) -> Vec<Vec<bool>> {
         self.last_attempts = 0;
         let n = self.cnf.num_vars();
-        let scale = self.config.init_scale;
+        let scale = INIT_SCALE;
         // Per-row RNG streams, like the transformed sampler: the drawn
         // candidates depend on (seed, row) only, never on how the
         // backend schedules the batch across threads.
         let round_seed: u64 = self.rng.gen();
-        let mut logits = BatchMatrix::zeros(self.config.batch_size, n);
-        self.config
-            .backend
+        let mut logits = BatchMatrix::zeros(self.batch_size, n);
+        self.backend
             .for_each_row(logits.as_mut_slice(), n, |b, row| {
                 let mut row_rng = SmallRng::seed_from_u64(derive_stream_seed(round_seed, b));
                 for v in row.iter_mut() {
@@ -225,15 +159,13 @@ impl RoundSource for DiffSamplerSession {
                 }
                 0.0
             });
-        for _ in 0..self.config.iterations {
+        for _ in 0..ITERATIONS {
             if stop.is_stopped() {
                 return Vec::new();
             }
             let mut probs = logits.clone();
             probs.map_inplace(ops::sigmoid);
-            let (_loss, grad_p) = self
-                .circuit
-                .loss_and_input_grads(&probs, self.config.backend);
+            let (_loss, grad_p) = self.circuit.loss_and_input_grads(&probs, self.backend);
             let mut grad_v = grad_p;
             for (g, &p) in grad_v
                 .as_mut_slice()
@@ -242,10 +174,10 @@ impl RoundSource for DiffSamplerSession {
             {
                 *g *= ops::sigmoid_grad_from_output(p);
             }
-            logits.saxpy_neg(self.config.learning_rate, &grad_v);
+            logits.saxpy_neg(LEARNING_RATE, &grad_v);
         }
-        self.last_attempts = self.config.batch_size;
-        (0..self.config.batch_size)
+        self.last_attempts = self.batch_size;
+        (0..self.batch_size)
             .map(|b| {
                 logits
                     .row(b)
@@ -265,13 +197,12 @@ impl RoundSource for DiffSamplerSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{assert_valid_unique, gate_cnf, loose_cnf};
-    use std::time::Duration;
+    use crate::test_support::{assert_valid_unique, gate_cnf, loose_cnf, sample};
 
     #[test]
     fn soft_cnf_loss_is_zero_exactly_on_models() {
         let cnf = gate_cnf();
-        let circuit = DiffSamplerLike::build_soft_cnf(&cnf);
+        let circuit = build_soft_cnf(&cnf);
         let n = cnf.num_vars();
         for mask in 0..(1u32 << n) {
             let bits: Vec<bool> = (0..n).map(|i| (mask >> i) & 1 == 1).collect();
@@ -288,24 +219,27 @@ mod tests {
     #[test]
     fn samples_loose_formula() {
         let cnf = loose_cnf();
-        let mut sampler = DiffSamplerLike::new();
-        let run = sampler.sample(&cnf, 10, Duration::from_secs(10));
-        assert!(run.solutions.len() >= 5, "found {}", run.solutions.len());
-        assert_valid_unique(&run, &cnf);
+        let report = sample("diffsampler", &cnf, 10);
+        assert!(
+            report.solutions.len() >= 5,
+            "found {}",
+            report.solutions.len()
+        );
+        assert_valid_unique(&report, &cnf);
     }
 
     #[test]
     fn respects_gate_constraints() {
         let cnf = gate_cnf();
-        let run = DiffSamplerLike::new().sample(&cnf, 5, Duration::from_secs(10));
-        assert!(!run.solutions.is_empty());
-        assert_valid_unique(&run, &cnf);
+        let report = sample("diffsampler", &cnf, 5);
+        assert!(!report.solutions.is_empty());
+        assert_valid_unique(&report, &cnf);
     }
 
     #[test]
     fn engine_sessions_are_deterministic_across_thread_counts() {
         let cnf = gate_cnf();
-        let engine = DiffSamplerEngine::prepare(&cnf, DiffSamplerConfig::default());
+        let engine = DiffSamplerEngine::prepare(&cnf);
         let take = |threads: usize| -> Vec<Vec<bool>> {
             engine
                 .stream(&SessionConfig {

@@ -1,61 +1,51 @@
 //! # htsat-baselines
 //!
 //! Baseline SAT samplers the paper compares against, re-implemented on top of
-//! the workspace's own CDCL, WalkSAT and tensor substrates:
+//! the workspace's own CDCL, WalkSAT and tensor substrates, each as a
+//! prepared [`htsat_core::SampleEngine`]:
 //!
-//! * [`CmsGenLike`] — a CDCL solver with randomised polarity and branching,
-//!   re-solved with fresh seeds per sample (the CMSGen recipe),
-//! * [`UniGenLike`] — XOR-hash-based near-uniform sampling: random parity
+//! * [`CmsGenEngine`] — a CDCL solver with randomised polarity and
+//!   branching, re-solved with fresh seeds per sample (the CMSGen recipe),
+//! * [`UniGenEngine`] — XOR-hash-based near-uniform sampling: random parity
 //!   constraints partition the solution space and the surviving cell is
 //!   enumerated (the UniGen3 recipe, without the approximate-counting
 //!   machinery),
-//! * [`QuickSamplerLike`] — one seed model plus atomic flips and flip
+//! * [`QuickSamplerEngine`] — one seed model plus atomic flips and flip
 //!   combinations, validated against the formula,
-//! * [`WalkSatSampler`] — repeated stochastic local search from random
+//! * [`WalkSatEngine`] — repeated stochastic local search from random
 //!   starting points,
-//! * [`DiffSamplerLike`] — gradient descent directly on the CNF's soft clause
-//!   relaxation (the DiffSampler recipe), sharing the tensor backend with the
-//!   transformed-circuit sampler so the ablation isolates the effect of the
-//!   transformation itself,
-//! * [`TransformedGdSampler`] — an adapter exposing the paper's sampler
-//!   ([`htsat_core::GdSampler`]) through the common traits.
+//! * [`DiffSamplerEngine`] — gradient descent directly on the CNF's soft
+//!   clause relaxation (the DiffSampler recipe), sharing the tensor backend
+//!   with the transformed-circuit sampler so the ablation isolates the
+//!   effect of the transformation itself.
 //!
-//! Every sampler participates in the workspace-wide engine API
-//! ([`htsat_core::SampleEngine`]): each has a *prepared* engine form
-//! ([`CmsGenEngine`], [`UniGenEngine`], [`QuickSamplerEngine`],
-//! [`WalkSatEngine`], [`DiffSamplerEngine`] — and
-//! [`htsat_core::PreparedFormula`] for the paper's sampler) that mints cheap
-//! per-request sessions streaming solutions through
-//! [`htsat_runtime::SampleStream`], with explicit seeds, deadlines,
+//! The paper's own sampler is [`htsat_core::PreparedFormula`]. Every engine
+//! is prepared once per formula from the CNF alone — the recipe parameters
+//! are module constants — and mints cheap per-request sessions streaming
+//! solutions through [`htsat_runtime::SampleStream`], with the seed, backend
+//! and batch of the request's [`htsat_core::SessionConfig`], deadlines,
 //! stale-limits, cancellation and per-stream statistics. [`engine_by_name`]
-//! is the factory a server or benchmark uses to build any of them from its
-//! wire name.
-//!
-//! The historical [`SatSampler`] trait remains as the blocking convenience
-//! layer: implementers only provide their engine; [`SatSampler::sample`] is
-//! a provided wrapper that prepares the engine and collects its stream.
+//! builds any of them from its wire name; a blocking run is
+//! `engine_by_name(..)?.sample(&SessionConfig, n, timeout)`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cmsgen;
 mod diffsampler;
-mod gd;
 mod quicksampler;
 mod unigen;
 mod walksat_sampler;
 pub mod xor;
 
-pub use cmsgen::{CmsGenConfig, CmsGenEngine, CmsGenLike};
-pub use diffsampler::{DiffSamplerConfig, DiffSamplerEngine, DiffSamplerLike};
-pub use gd::TransformedGdSampler;
-pub use quicksampler::{QuickSamplerConfig, QuickSamplerEngine, QuickSamplerLike};
-pub use unigen::{UniGenConfig, UniGenEngine, UniGenLike};
-pub use walksat_sampler::{WalkSatEngine, WalkSatSampler};
+pub use cmsgen::CmsGenEngine;
+pub use diffsampler::DiffSamplerEngine;
+pub use quicksampler::QuickSamplerEngine;
+pub use unigen::UniGenEngine;
+pub use walksat_sampler::WalkSatEngine;
 
 use htsat_cnf::Cnf;
-use htsat_core::{PreparedFormula, SampleEngine, SessionConfig, TransformConfig, TransformError};
-use std::time::{Duration, Instant};
+use htsat_core::{PreparedFormula, SampleEngine, TransformConfig, TransformError};
 
 /// Canonical engine names, as used on the wire, in the serving registry and
 /// by [`engine_by_name`]. The paper's sampler is `"gd"`; the rest are the
@@ -96,26 +86,11 @@ pub fn engine_by_name(
 ) -> Result<Box<dyn SampleEngine>, TransformError> {
     match resolve_engine_name(name) {
         Some("gd") => Ok(Box::new(PreparedFormula::prepare(cnf, transform)?)),
-        Some("diffsampler") => Ok(Box::new(DiffSamplerEngine::prepare(
-            cnf,
-            DiffSamplerConfig::default(),
-        ))),
-        Some("cmsgen") => Ok(Box::new(CmsGenEngine::prepare(
-            cnf,
-            CmsGenConfig::default(),
-        ))),
-        Some("unigen") => Ok(Box::new(UniGenEngine::prepare(
-            cnf,
-            UniGenConfig::default(),
-        ))),
-        Some("quicksampler") => Ok(Box::new(QuickSamplerEngine::prepare(
-            cnf,
-            QuickSamplerConfig::default(),
-        ))),
-        Some("walksat") => Ok(Box::new(WalkSatEngine::prepare(
-            cnf,
-            WalkSatSampler::default().config,
-        ))),
+        Some("diffsampler") => Ok(Box::new(DiffSamplerEngine::prepare(cnf))),
+        Some("cmsgen") => Ok(Box::new(CmsGenEngine::prepare(cnf))),
+        Some("unigen") => Ok(Box::new(UniGenEngine::prepare(cnf))),
+        Some("quicksampler") => Ok(Box::new(QuickSamplerEngine::prepare(cnf))),
+        Some("walksat") => Ok(Box::new(WalkSatEngine::prepare(cnf))),
         _ => Err(TransformError::InvalidConfig(format!(
             "unknown engine `{name}` (known: {})",
             ENGINE_NAMES.join(", ")
@@ -123,84 +98,11 @@ pub fn engine_by_name(
     }
 }
 
-/// The outcome of one sampling run.
-#[derive(Debug, Clone, Default)]
-pub struct SampleRun {
-    /// Unique satisfying assignments found.
-    pub solutions: Vec<Vec<bool>>,
-    /// Candidate assignments generated (including invalid and duplicate ones).
-    pub attempts: usize,
-    /// Wall-clock duration of the run.
-    pub elapsed: Duration,
-}
-
-impl SampleRun {
-    /// Unique-solution throughput in solutions per second.
-    ///
-    /// Delegates to [`htsat_runtime::unique_throughput`] — the same clamped
-    /// implementation `htsat_core::SampleReport::throughput` uses, so a run
-    /// faster than the clock resolution reports the finite bound
-    /// `solutions / 1µs` instead of the raw count.
-    pub fn throughput(&self) -> f64 {
-        htsat_runtime::unique_throughput(self.solutions.len(), self.elapsed)
-    }
-}
-
-/// A SAT sampler: produces unique satisfying assignments of a CNF formula.
-///
-/// Implementers describe *how to build their engine* for a formula; the
-/// blocking [`SatSampler::sample`] call every benchmark and test drives is a
-/// provided wrapper that prepares the engine, mints one session and collects
-/// its [`htsat_runtime::SampleStream`].
-pub trait SatSampler {
-    /// A short name used in benchmark tables (the canonical engine name).
-    fn name(&self) -> &'static str;
-
-    /// Prepares this sampler's [`SampleEngine`] for `cnf`.
-    ///
-    /// # Errors
-    ///
-    /// Engines with a preparation stage (the transformed-circuit sampler)
-    /// propagate its failure; the solver-backed baselines are infallible.
-    fn engine(&self, cnf: &Cnf) -> Result<Box<dyn SampleEngine>, TransformError>;
-
-    /// The per-request configuration the blocking wrapper samples with —
-    /// by default the sampler's configured seed travels here.
-    fn session_config(&self) -> SessionConfig {
-        SessionConfig::default()
-    }
-
-    /// Samples until `min_solutions` unique solutions are found, `timeout`
-    /// elapses, or the engine's stream exhausts (a provided wrapper over the
-    /// engine API; the elapsed time *and the timeout* both cover engine
-    /// preparation, matching the historical blocking behaviour).
-    fn sample(&mut self, cnf: &Cnf, min_solutions: usize, timeout: Duration) -> SampleRun {
-        let started = Instant::now();
-        let run = self.engine(cnf).and_then(|engine| {
-            // `timeout` bounds the whole call, as the historical blocking
-            // loops did (their clock started before any preparation):
-            // preparation consumes its share first, sampling gets the rest.
-            let remaining = timeout.saturating_sub(started.elapsed());
-            engine.sample(&self.session_config(), min_solutions, remaining)
-        });
-        match run {
-            Ok(report) => SampleRun {
-                solutions: report.solutions,
-                attempts: report.attempts,
-                elapsed: started.elapsed(),
-            },
-            Err(_) => SampleRun {
-                solutions: Vec::new(),
-                attempts: 0,
-                elapsed: started.elapsed(),
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod test_support {
     use htsat_cnf::Cnf;
+    use htsat_core::{SampleReport, SessionConfig, TransformConfig};
+    use std::time::Duration;
 
     /// A loose formula with many solutions: (x1 ∨ x2)(x3 ∨ ¬x4)(x5 ∨ x6 ∨ x7).
     pub fn loose_cnf() -> Cnf {
@@ -228,9 +130,18 @@ pub(crate) mod test_support {
         cnf
     }
 
-    pub fn assert_valid_unique(run: &super::SampleRun, cnf: &Cnf) {
+    /// A blocking run of the named engine: `n` solutions at the default
+    /// session config, within ten seconds.
+    pub fn sample(name: &str, cnf: &Cnf, n: usize) -> SampleReport {
+        super::engine_by_name(name, cnf, &TransformConfig::default())
+            .expect("known engine")
+            .sample(&SessionConfig::default(), n, Duration::from_secs(10))
+            .expect("session")
+    }
+
+    pub fn assert_valid_unique(report: &SampleReport, cnf: &Cnf) {
         let mut seen = std::collections::HashSet::new();
-        for s in &run.solutions {
+        for s in &report.solutions {
             assert!(cnf.is_satisfied_by_bits(s), "invalid solution returned");
             assert!(seen.insert(s.clone()), "duplicate solution returned");
         }
@@ -240,21 +151,9 @@ pub(crate) mod test_support {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use htsat_core::SessionConfig;
     use htsat_tensor::Backend;
-
-    #[test]
-    fn throughput_is_clamped_when_elapsed_rounds_to_zero() {
-        let run = SampleRun {
-            solutions: vec![vec![true]; 5],
-            attempts: 5,
-            elapsed: Duration::ZERO,
-        };
-        // Shares the clamped implementation with SampleReport: a finite
-        // rate bounded by the minimum measurable tick, never the raw count.
-        let expected = 5.0 / htsat_runtime::MIN_MEASURABLE_TICK.as_secs_f64();
-        assert!((run.throughput() - expected).abs() < 1e-3);
-        assert!(run.throughput().is_finite());
-    }
+    use test_support::{assert_valid_unique, gate_cnf, loose_cnf, sample};
 
     #[test]
     fn factory_builds_every_engine() {
@@ -317,6 +216,48 @@ mod tests {
             let mut stream = engine.stream(&SessionConfig::with_seed(1)).expect("stream");
             stream.stop_token().stop();
             assert_eq!(stream.next(), None, "engine {name} ignored the stop token");
+        }
+    }
+
+    #[test]
+    fn gd_engine_samples_valid_solutions() {
+        let cnf = gate_cnf();
+        let report = sample("gd", &cnf, 5);
+        assert!(!report.solutions.is_empty());
+        assert_valid_unique(&report, &cnf);
+    }
+
+    #[test]
+    fn gd_engine_handles_loose_formulas() {
+        let cnf = loose_cnf();
+        let report = sample("gd", &cnf, 10);
+        assert!(report.solutions.len() >= 5);
+        assert_valid_unique(&report, &cnf);
+    }
+
+    #[test]
+    fn gd_engine_rejects_unsatisfiable_input_with_a_typed_error() {
+        let mut cnf = Cnf::new(1);
+        cnf.add_dimacs_clause([1]);
+        cnf.add_dimacs_clause([-1]);
+        assert!(matches!(
+            engine_by_name("gd", &cnf, &TransformConfig::default()),
+            Err(TransformError::ConstantConflict)
+        ));
+    }
+
+    #[test]
+    fn every_engine_stream_counts_its_session() {
+        // Every engine mints through the provided `SampleEngine::stream`,
+        // so each raises its own per-engine session counter.
+        let cnf = gate_cnf();
+        for name in ENGINE_NAMES {
+            let counter = htsat_obs::global().counter(&format!("engine.sessions.{name}"));
+            let before = counter.get();
+            let engine =
+                engine_by_name(name, &cnf, &TransformConfig::default()).expect("known engine");
+            drop(engine.stream(&SessionConfig::with_seed(1)).expect("stream"));
+            assert!(counter.get() > before, "engine {name} skipped its counter");
         }
     }
 }

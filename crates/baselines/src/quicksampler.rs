@@ -4,12 +4,10 @@
 //! QuickSampler (ICSE 2018) derives many candidate samples from few solver
 //! calls by flipping individual variables of a known solution ("atomic
 //! mutations") and combining successful flips, validating candidates against
-//! the formula. [`QuickSamplerLike`] follows the same recipe with our CDCL
-//! solver providing the seed models; [`QuickSamplerEngine`] exposes it
-//! through the engine API, one seed-model-plus-mutations block per session
-//! round.
+//! the formula. [`QuickSamplerEngine`] follows the same recipe with our CDCL
+//! solver providing the seed models, one seed-model-plus-mutations block per
+//! session round.
 
-use crate::SatSampler;
 use htsat_cnf::Cnf;
 use htsat_core::{BoxedSession, SampleEngine, SessionConfig, TransformError};
 use htsat_runtime::{RoundSource, StopToken};
@@ -19,81 +17,27 @@ use rand::{seq::SliceRandom, Rng, SeedableRng};
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// Hard ceiling on seed-model rounds per session, matching the historical
-/// blocking loop's bound.
+/// Hard ceiling on seed-model rounds per session.
 const MAX_ROUNDS: u64 = 10_000;
 
-/// Configuration of the QuickSampler-style sampler.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuickSamplerConfig {
-    /// RNG seed.
-    pub seed: u64,
-    /// Maximum number of successful atomic flips combined per seed model.
-    pub max_combined_flips: usize,
-}
+/// Maximum number of successful atomic flips combined per seed model.
+const MAX_COMBINED_FLIPS: usize = 64;
 
-impl Default for QuickSamplerConfig {
-    fn default() -> Self {
-        QuickSamplerConfig {
-            seed: 0,
-            max_combined_flips: 64,
-        }
-    }
-}
-
-/// A QuickSampler-style mutation-based sampler.
-#[derive(Debug, Clone, Default)]
-pub struct QuickSamplerLike {
-    config: QuickSamplerConfig,
-}
-
-impl QuickSamplerLike {
-    /// Creates a sampler with default configuration.
-    pub fn new() -> Self {
-        QuickSamplerLike::default()
-    }
-
-    /// Creates a sampler with an explicit configuration.
-    pub fn with_config(config: QuickSamplerConfig) -> Self {
-        QuickSamplerLike { config }
-    }
-}
-
-impl SatSampler for QuickSamplerLike {
-    fn name(&self) -> &'static str {
-        "quicksampler"
-    }
-
-    fn engine(&self, cnf: &Cnf) -> Result<Box<dyn SampleEngine>, TransformError> {
-        Ok(Box::new(QuickSamplerEngine::prepare(
-            cnf,
-            self.config.clone(),
-        )))
-    }
-
-    fn session_config(&self) -> SessionConfig {
-        SessionConfig::with_seed(self.config.seed)
-    }
-}
-
-/// The prepared QuickSampler-style engine: the formula, its occurring
-/// variables (computed once) and the mutation parameters.
+/// The prepared QuickSampler-style engine: the formula and its occurring
+/// variables (computed once; sessions seed from their [`SessionConfig`]).
 #[derive(Debug, Clone)]
 pub struct QuickSamplerEngine {
     cnf: Arc<Cnf>,
     occurring: Arc<Vec<usize>>,
-    config: QuickSamplerConfig,
 }
 
 impl QuickSamplerEngine {
-    /// Prepares the engine for `cnf` (`config.seed` is ignored: sessions
-    /// seed from their [`SessionConfig`]).
+    /// Prepares the engine for `cnf`.
     #[must_use]
-    pub fn prepare(cnf: &Cnf, config: QuickSamplerConfig) -> Self {
+    pub fn prepare(cnf: &Cnf) -> Self {
         QuickSamplerEngine {
             occurring: Arc::new(cnf.occurring_vars().iter().map(|v| v.as_usize()).collect()),
             cnf: Arc::new(cnf.clone()),
-            config,
         }
     }
 }
@@ -111,7 +55,6 @@ impl SampleEngine for QuickSamplerEngine {
         Ok(Box::new(QuickSamplerSession {
             cnf: self.cnf.clone(),
             occurring: self.occurring.clone(),
-            config: self.config.clone(),
             rng: SmallRng::seed_from_u64(config.seed),
             seed: config.seed,
             round: 0,
@@ -120,26 +63,20 @@ impl SampleEngine for QuickSamplerEngine {
             last_attempts: 0,
         }))
     }
-
-    fn stream(&self, config: &SessionConfig) -> Result<htsat_core::EngineStream, TransformError> {
-        // The session already deduplicates (its mutation logic needs the
-        // memory — see `QuickSamplerSession`); tell the stream so it does
-        // not keep a second, identical seen-set.
-        Ok(htsat_runtime::SampleStream::new(self.session(config)?).with_source_dedup())
-    }
 }
 
 /// One request's mutation state.
 ///
 /// Unlike the other sessions, this one deduplicates *internally* (and emits
 /// only fresh solutions): whether an atomic flip counts as "successful" —
-/// and therefore participates in the combination stage — historically
-/// depends on it producing a *new* unique solution, which only the session's
-/// own memory can answer. The stream's dedup is then a no-op on top.
+/// and therefore participates in the combination stage — depends on it
+/// producing a *new* unique solution, which only the session's own memory
+/// can answer. The session declares this
+/// ([`RoundSource::dedups_internally`]), so the stream keeps no second,
+/// identical seen-set.
 struct QuickSamplerSession {
     cnf: Arc<Cnf>,
     occurring: Arc<Vec<usize>>,
-    config: QuickSamplerConfig,
     rng: SmallRng,
     seed: u64,
     round: u64,
@@ -214,7 +151,7 @@ impl RoundSource for QuickSamplerSession {
             }
         }
         // Combine random subsets of the successful flips.
-        let combos = successful_flips.len().min(self.config.max_combined_flips);
+        let combos = successful_flips.len().min(MAX_COMBINED_FLIPS);
         for _ in 0..combos {
             if stop.is_stopped() {
                 return batch;
@@ -233,29 +170,35 @@ impl RoundSource for QuickSamplerSession {
     fn round_size(&self) -> usize {
         self.last_attempts
     }
+
+    fn dedups_internally(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{assert_valid_unique, gate_cnf, loose_cnf};
-    use std::time::Duration;
+    use crate::test_support::{assert_valid_unique, gate_cnf, loose_cnf, sample};
 
     #[test]
     fn generates_many_unique_solutions_cheaply() {
         let cnf = loose_cnf();
-        let mut sampler = QuickSamplerLike::new();
-        let run = sampler.sample(&cnf, 20, Duration::from_secs(5));
-        assert!(run.solutions.len() >= 10, "found {}", run.solutions.len());
-        assert_valid_unique(&run, &cnf);
+        let report = sample("quicksampler", &cnf, 20);
+        assert!(
+            report.solutions.len() >= 10,
+            "found {}",
+            report.solutions.len()
+        );
+        assert_valid_unique(&report, &cnf);
     }
 
     #[test]
     fn respects_gate_constraints() {
         let cnf = gate_cnf();
-        let run = QuickSamplerLike::new().sample(&cnf, 5, Duration::from_secs(5));
-        assert!(!run.solutions.is_empty());
-        assert_valid_unique(&run, &cnf);
+        let report = sample("quicksampler", &cnf, 5);
+        assert!(!report.solutions.is_empty());
+        assert_valid_unique(&report, &cnf);
     }
 
     #[test]
@@ -263,14 +206,13 @@ mod tests {
         let mut cnf = Cnf::new(1);
         cnf.add_dimacs_clause([1]);
         cnf.add_dimacs_clause([-1]);
-        let run = QuickSamplerLike::new().sample(&cnf, 3, Duration::from_secs(2));
-        assert!(run.solutions.is_empty());
+        assert!(sample("quicksampler", &cnf, 3).solutions.is_empty());
     }
 
     #[test]
     fn engine_sessions_are_seed_deterministic() {
         let cnf = loose_cnf();
-        let engine = QuickSamplerEngine::prepare(&cnf, QuickSamplerConfig::default());
+        let engine = QuickSamplerEngine::prepare(&cnf);
         let take = |seed: u64| -> Vec<Vec<bool>> {
             engine
                 .stream(&SessionConfig::with_seed(seed))

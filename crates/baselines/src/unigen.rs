@@ -2,16 +2,16 @@
 //!
 //! UniGen3 partitions the solution space into roughly equal cells with random
 //! parity constraints and enumerates one random cell, which yields
-//! almost-uniform samples. [`UniGenLike`] follows the same recipe on our CDCL
-//! solver: it adapts the number of XOR constraints so cells stay enumerable,
-//! enumerates a cell per round and pools the unique solutions. The
-//! approximate model-counting machinery of the real tool is replaced by the
-//! adaptive cell-size feedback loop, which preserves the performance
+//! almost-uniform samples. [`UniGenEngine`] follows the same recipe on our
+//! CDCL solver: it adapts the number of XOR constraints so cells stay
+//! enumerable, enumerates a cell per round and pools the unique solutions.
+//! The approximate model-counting machinery of the real tool is replaced by
+//! the adaptive cell-size feedback loop, which preserves the performance
 //! characteristics that matter to the paper's comparison (CPU-bound CDCL
-//! enumeration per sample batch). [`UniGenEngine`] exposes the recipe
-//! through the engine API: one session round is one hashed-cell enumeration.
+//! enumeration per sample batch). One session round is one hashed-cell
+//! enumeration.
 
-use crate::{xor, SatSampler};
+use crate::xor;
 use htsat_cnf::{Cnf, Var};
 use htsat_core::{BoxedSession, SampleEngine, SessionConfig, TransformError};
 use htsat_runtime::{RoundSource, StopToken};
@@ -20,85 +20,54 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Hard ceiling on hashed-cell rounds per session, matching the historical
-/// blocking loop's bound — a stuck adaptive loop must terminate even without
-/// a deadline.
+/// Hard ceiling on hashed-cell rounds per session — a stuck adaptive loop
+/// must terminate even without a deadline.
 const MAX_ROUNDS: usize = 10_000;
 
-/// Configuration of the UniGen-style sampler.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UniGenConfig {
-    /// Maximum number of models enumerated inside one cell.
-    pub cell_capacity: usize,
-    /// Initial number of XOR constraints.
-    pub initial_xors: usize,
-    /// Base RNG seed.
-    pub seed: u64,
-    /// Conflict budget per enumeration call.
-    pub max_conflicts_per_call: Option<u64>,
-}
+/// Maximum number of models enumerated inside one cell.
+const CELL_CAPACITY: usize = 64;
 
-impl Default for UniGenConfig {
-    fn default() -> Self {
-        UniGenConfig {
-            cell_capacity: 64,
-            initial_xors: 2,
-            seed: 0,
-            max_conflicts_per_call: Some(200_000),
-        }
+/// Number of XOR constraints a session starts hashing with.
+const INITIAL_XORS: usize = 2;
+
+/// Conflict budget per cell enumeration.
+const MAX_CONFLICTS_PER_CALL: u64 = 200_000;
+
+/// The adaptive hash-strength rule: the XOR count for the next cell after
+/// one cell of `cell_size` models was enumerated under `num_xors` XORs, or
+/// `None` when the formula itself is unsatisfiable.
+///
+/// Empty cells mean too many XORs, overflowing cells too few. An empty
+/// *unhashed* cell proves unsatisfiability only when the enumeration ran to
+/// completion (`exhausted`); a conflict-budget cut-off proves nothing, so
+/// the count stays and the next round retries under a fresh seed.
+fn next_hash_strength(num_xors: usize, cell_size: usize, exhausted: bool) -> Option<usize> {
+    if cell_size == 0 && num_xors > 0 {
+        Some(num_xors - 1)
+    } else if cell_size > CELL_CAPACITY {
+        Some(num_xors + 1)
+    } else if cell_size == 0 && exhausted {
+        None
+    } else {
+        Some(num_xors)
     }
 }
 
-/// A UniGen3-style hash-based sampler.
-#[derive(Debug, Clone, Default)]
-pub struct UniGenLike {
-    config: UniGenConfig,
-}
-
-impl UniGenLike {
-    /// Creates a sampler with default configuration.
-    pub fn new() -> Self {
-        UniGenLike::default()
-    }
-
-    /// Creates a sampler with an explicit configuration.
-    pub fn with_config(config: UniGenConfig) -> Self {
-        UniGenLike { config }
-    }
-}
-
-impl SatSampler for UniGenLike {
-    fn name(&self) -> &'static str {
-        "unigen"
-    }
-
-    fn engine(&self, cnf: &Cnf) -> Result<Box<dyn SampleEngine>, TransformError> {
-        Ok(Box::new(UniGenEngine::prepare(cnf, self.config.clone())))
-    }
-
-    fn session_config(&self) -> SessionConfig {
-        SessionConfig::with_seed(self.config.seed)
-    }
-}
-
-/// The prepared UniGen-style engine: the formula, its occurring-variable
-/// pool (computed once) and the hashing parameters.
+/// The prepared UniGen-style engine: the formula and its occurring-variable
+/// pool (computed once; sessions seed from their [`SessionConfig`]).
 #[derive(Debug, Clone)]
 pub struct UniGenEngine {
     cnf: Arc<Cnf>,
     pool: Arc<Vec<Var>>,
-    config: UniGenConfig,
 }
 
 impl UniGenEngine {
-    /// Prepares the engine for `cnf` (`config.seed` is ignored: sessions
-    /// seed from their [`SessionConfig`]).
+    /// Prepares the engine for `cnf`.
     #[must_use]
-    pub fn prepare(cnf: &Cnf, config: UniGenConfig) -> Self {
+    pub fn prepare(cnf: &Cnf) -> Self {
         UniGenEngine {
             pool: Arc::new(cnf.occurring_vars()),
             cnf: Arc::new(cnf.clone()),
-            config,
         }
     }
 }
@@ -116,10 +85,9 @@ impl SampleEngine for UniGenEngine {
         Ok(Box::new(UniGenSession {
             cnf: self.cnf.clone(),
             pool: self.pool.clone(),
-            config: self.config.clone(),
             rng: SmallRng::seed_from_u64(config.seed),
             seed: config.seed,
-            num_xors: self.config.initial_xors,
+            num_xors: INITIAL_XORS,
             round: 0,
             done: false,
             last_cell: 0,
@@ -132,7 +100,6 @@ impl SampleEngine for UniGenEngine {
 struct UniGenSession {
     cnf: Arc<Cnf>,
     pool: Arc<Vec<Var>>,
-    config: UniGenConfig,
     rng: SmallRng,
     seed: u64,
     num_xors: usize,
@@ -162,8 +129,8 @@ impl RoundSource for UniGenSession {
         let mut hashed = (*self.cnf).clone();
         xor::add_random_parity_constraints(&mut hashed, &self.pool, self.num_xors, &mut self.rng);
         let budget = enumerate::EnumerationBudget {
-            max_models: self.config.cell_capacity + 1,
-            max_conflicts_per_call: self.config.max_conflicts_per_call,
+            max_models: CELL_CAPACITY + 1,
+            max_conflicts_per_call: Some(MAX_CONFLICTS_PER_CALL),
         };
         let result = enumerate::enumerate_models(
             &hashed,
@@ -182,15 +149,9 @@ impl RoundSource for UniGenSession {
             .map(|model| model[..self.cnf.num_vars()].to_vec())
             .filter(|projected| self.cnf.is_satisfied_by_bits(projected))
             .collect();
-        // Adapt the hash strength: empty cells mean too many XORs,
-        // overflowing cells mean too few.
-        if cell_size == 0 && self.num_xors > 0 {
-            self.num_xors -= 1;
-        } else if cell_size > self.config.cell_capacity {
-            self.num_xors += 1;
-        } else if cell_size == 0 && self.num_xors == 0 {
-            // The formula itself is unsatisfiable.
-            self.done = true;
+        match next_hash_strength(self.num_xors, cell_size, result.exhausted) {
+            Some(num_xors) => self.num_xors = num_xors,
+            None => self.done = true,
         }
         batch
     }
@@ -203,25 +164,26 @@ impl RoundSource for UniGenSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{assert_valid_unique, gate_cnf, loose_cnf};
-    use std::time::Duration;
+    use crate::test_support::{assert_valid_unique, gate_cnf, loose_cnf, sample};
 
     #[test]
     fn samples_valid_unique_solutions() {
         let cnf = loose_cnf();
-        let mut sampler = UniGenLike::new();
-        let run = sampler.sample(&cnf, 10, Duration::from_secs(10));
-        assert!(run.solutions.len() >= 5, "found {}", run.solutions.len());
-        assert_valid_unique(&run, &cnf);
+        let report = sample("unigen", &cnf, 10);
+        assert!(
+            report.solutions.len() >= 5,
+            "found {}",
+            report.solutions.len()
+        );
+        assert_valid_unique(&report, &cnf);
     }
 
     #[test]
     fn respects_gate_constraints() {
         let cnf = gate_cnf();
-        let mut sampler = UniGenLike::new();
-        let run = sampler.sample(&cnf, 5, Duration::from_secs(10));
-        assert!(!run.solutions.is_empty());
-        assert_valid_unique(&run, &cnf);
+        let report = sample("unigen", &cnf, 5);
+        assert!(!report.solutions.is_empty());
+        assert_valid_unique(&report, &cnf);
     }
 
     #[test]
@@ -229,8 +191,7 @@ mod tests {
         let mut cnf = Cnf::new(2);
         cnf.add_dimacs_clause([1]);
         cnf.add_dimacs_clause([-1]);
-        let run = UniGenLike::new().sample(&cnf, 3, Duration::from_secs(3));
-        assert!(run.solutions.is_empty());
+        assert!(sample("unigen", &cnf, 3).solutions.is_empty());
     }
 
     #[test]
@@ -239,15 +200,30 @@ mod tests {
         // not occurring, so the projection has 3 solutions).
         let mut cnf = Cnf::new(2);
         cnf.add_dimacs_clause([1, 2]);
-        let run = UniGenLike::new().sample(&cnf, 3, Duration::from_secs(10));
-        assert!(run.solutions.len() >= 2);
-        assert_valid_unique(&run, &cnf);
+        let report = sample("unigen", &cnf, 3);
+        assert!(report.solutions.len() >= 2);
+        assert_valid_unique(&report, &cnf);
+    }
+
+    #[test]
+    fn hash_strength_only_ends_the_session_on_a_complete_empty_cell() {
+        // Empty hashed cells drop one XOR, overflowing cells add one, and a
+        // cell within capacity keeps the count.
+        assert_eq!(next_hash_strength(3, 0, true), Some(2));
+        assert_eq!(next_hash_strength(3, 0, false), Some(2));
+        assert_eq!(next_hash_strength(3, CELL_CAPACITY + 1, false), Some(4));
+        assert_eq!(next_hash_strength(3, CELL_CAPACITY, true), Some(3));
+        // An empty unhashed cell proves unsatisfiability only when the
+        // enumeration ran to completion...
+        assert_eq!(next_hash_strength(0, 0, true), None);
+        // ...a conflict-budget cut-off is not a proof: keep sampling.
+        assert_eq!(next_hash_strength(0, 0, false), Some(0));
     }
 
     #[test]
     fn engine_sessions_are_seed_deterministic() {
         let cnf = loose_cnf();
-        let engine = UniGenEngine::prepare(&cnf, UniGenConfig::default());
+        let engine = UniGenEngine::prepare(&cnf);
         let take = |seed: u64| -> Vec<Vec<bool>> {
             engine
                 .stream(&SessionConfig::with_seed(seed))

@@ -1,7 +1,6 @@
 //! WalkSAT-based sampler: repeated stochastic local search from random
 //! starting assignments.
 
-use crate::SatSampler;
 use htsat_cnf::Cnf;
 use htsat_core::{BoxedSession, SampleEngine, SessionConfig, TransformError};
 use htsat_runtime::{RoundSource, StopToken};
@@ -13,64 +12,27 @@ use std::sync::Arc;
 /// the stream's per-round bookkeeping is amortised.
 const RUNS_PER_ROUND: usize = 8;
 
-/// A sampler drawing solutions from independent WalkSAT runs.
-#[derive(Debug, Clone)]
-pub struct WalkSatSampler {
-    /// WalkSAT parameters used for each run (the seed is varied per run).
-    pub config: WalkSatConfig,
-}
+/// Flip budget of one WalkSAT run.
+const MAX_FLIPS: u64 = 20_000;
 
-impl Default for WalkSatSampler {
-    fn default() -> Self {
-        WalkSatSampler {
-            config: WalkSatConfig {
-                max_flips: 20_000,
-                noise: 0.5,
-                seed: 0,
-            },
-        }
-    }
-}
+/// Probability of a random-walk flip.
+const NOISE: f64 = 0.5;
 
-impl WalkSatSampler {
-    /// Creates a sampler with default WalkSAT parameters.
-    pub fn new() -> Self {
-        WalkSatSampler::default()
-    }
-}
-
-impl SatSampler for WalkSatSampler {
-    fn name(&self) -> &'static str {
-        "walksat"
-    }
-
-    fn engine(&self, cnf: &Cnf) -> Result<Box<dyn SampleEngine>, TransformError> {
-        Ok(Box::new(WalkSatEngine::prepare(cnf, self.config)))
-    }
-
-    fn session_config(&self) -> SessionConfig {
-        SessionConfig::with_seed(self.config.seed)
-    }
-}
-
-/// The prepared WalkSAT engine: the formula plus the per-run local-search
-/// parameters. Preparation is trivially cheap — the value of the engine form
-/// is the shared streaming surface (seeds, deadlines, cancellation, stats).
+/// The prepared WalkSAT engine: just the formula. Preparation is trivially
+/// cheap — the value of the engine form is the shared streaming surface
+/// (seeds, deadlines, cancellation, stats).
 #[derive(Debug, Clone)]
 pub struct WalkSatEngine {
     cnf: Arc<Cnf>,
-    config: WalkSatConfig,
 }
 
 impl WalkSatEngine {
-    /// Prepares the engine for `cnf` with the given per-run parameters
-    /// (`config.seed` is ignored: sessions seed from their
+    /// Prepares the engine for `cnf` (sessions seed from their
     /// [`SessionConfig`]).
     #[must_use]
-    pub fn prepare(cnf: &Cnf, config: WalkSatConfig) -> Self {
+    pub fn prepare(cnf: &Cnf) -> Self {
         WalkSatEngine {
             cnf: Arc::new(cnf.clone()),
-            config,
         }
     }
 }
@@ -87,10 +49,7 @@ impl SampleEngine for WalkSatEngine {
     fn session(&self, config: &SessionConfig) -> Result<BoxedSession, TransformError> {
         Ok(Box::new(WalkSatSession {
             cnf: self.cnf.clone(),
-            config: WalkSatConfig {
-                seed: config.seed,
-                ..self.config
-            },
+            seed: config.seed,
             run: 0,
             last_attempts: 0,
         }))
@@ -102,7 +61,7 @@ impl SampleEngine for WalkSatEngine {
 /// deterministic and thread-count independent).
 struct WalkSatSession {
     cnf: Arc<Cnf>,
-    config: WalkSatConfig,
+    seed: u64,
     run: u64,
     /// Restarts the most recent round actually performed (a stop token can
     /// cut a round short), reported via `round_size`.
@@ -122,8 +81,9 @@ impl RoundSource for WalkSatSession {
             self.run += 1;
             self.last_attempts += 1;
             let config = WalkSatConfig {
-                seed: self.config.seed.wrapping_add(self.run),
-                ..self.config
+                max_flips: MAX_FLIPS,
+                noise: NOISE,
+                seed: self.seed.wrapping_add(self.run),
             };
             if let WalkSatResult::Sat(model) = walksat(&self.cnf, config) {
                 batch.push(model);
@@ -140,30 +100,32 @@ impl RoundSource for WalkSatSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{assert_valid_unique, gate_cnf, loose_cnf};
-    use crate::SatSampler;
-    use std::time::Duration;
+    use crate::test_support::{assert_valid_unique, gate_cnf, loose_cnf, sample};
 
     #[test]
     fn samples_loose_formula() {
         let cnf = loose_cnf();
-        let run = WalkSatSampler::new().sample(&cnf, 10, Duration::from_secs(5));
-        assert!(run.solutions.len() >= 5, "found {}", run.solutions.len());
-        assert_valid_unique(&run, &cnf);
+        let report = sample("walksat", &cnf, 10);
+        assert!(
+            report.solutions.len() >= 5,
+            "found {}",
+            report.solutions.len()
+        );
+        assert_valid_unique(&report, &cnf);
     }
 
     #[test]
     fn respects_gate_constraints() {
         let cnf = gate_cnf();
-        let run = WalkSatSampler::new().sample(&cnf, 5, Duration::from_secs(5));
-        assert!(!run.solutions.is_empty());
-        assert_valid_unique(&run, &cnf);
+        let report = sample("walksat", &cnf, 5);
+        assert!(!report.solutions.is_empty());
+        assert_valid_unique(&report, &cnf);
     }
 
     #[test]
     fn engine_sessions_are_seed_deterministic() {
         let cnf = loose_cnf();
-        let engine = WalkSatEngine::prepare(&cnf, WalkSatSampler::default().config);
+        let engine = WalkSatEngine::prepare(&cnf);
         let take = |seed: u64| -> Vec<Vec<bool>> {
             engine
                 .stream(&SessionConfig::with_seed(seed))

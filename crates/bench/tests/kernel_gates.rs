@@ -1,18 +1,22 @@
 //! Absolute bit gates on the GD sampler's inner loop, over the 14
-//! small-scale Table II instances:
+//! small-scale Table II instances, and on the baseline engines:
 //!
 //! * the golden digests pin the first two `sample_round`s at a fixed
 //!   configuration — any change to the descent, hardening, validation or
 //!   RNG streams that alters one bit of one solution changes a digest;
+//! * the baseline digests pin the first 32 solutions of each baseline
+//!   engine on one instance, so a change to a recipe's parameters or
+//!   session logic shows up as a changed digest;
 //! * the kernel oracle replays rows through the fused kernel and the
 //!   staged `SoftCircuit` composition and requires identical bits;
 //! * the harden oracle replays rows through the word-parallel hardening
 //!   pass and the scalar reconstruct-and-validate composition and requires
 //!   the same surviving rows with the same bits.
 
+use htsat_baselines::engine_by_name;
 use htsat_bench::{harden_oracle, kernel_oracle};
-use htsat_core::{compile, transform, GdSampler, SamplerConfig};
-use htsat_instances::suite::{table2_instances, SuiteScale};
+use htsat_core::{compile, transform, GdSampler, SamplerConfig, SessionConfig, TransformConfig};
+use htsat_instances::suite::{table2_instance, table2_instances, SuiteScale};
 use htsat_tensor::Backend;
 
 /// `(instance, valid solutions in rounds 1–2, FNV-1a digest)` at
@@ -34,23 +38,42 @@ const GOLDEN: [(&str, usize, u64); 14] = [
     ("Prod-32", 57, 0xa562_828d_c08e_fca9),
 ];
 
-/// 64-bit FNV-1a over the solutions of the first two rounds, one byte
-/// (0 or 1) per variable, plus the number of solutions hashed.
-fn digest_two_rounds(sampler: &mut GdSampler) -> (usize, u64) {
+/// `(engine, instance, FNV-1a digest of the first 32 solutions)` of the
+/// five baseline engines, minted by `engine_by_name` with
+/// `SessionConfig { seed: 7, backend: Backend::Threads(1), batch: None }`.
+/// Each instance yields its engine's 32 solutions in about a second in a
+/// debug build.
+const BASELINE_GOLDEN: [(&str, &str, u64); 5] = [
+    ("diffsampler", "or-60-20-10-UC-10", 0x829f_284a_54b5_ae0a),
+    ("cmsgen", "s15850a_3_2", 0x858d_ccb9_1c03_f8c8),
+    ("unigen", "90-10-10-q", 0xd58b_cd18_5d29_a2d5),
+    ("quicksampler", "75-10-1-q", 0xe21e_4c74_4658_8a6d),
+    ("walksat", "or-100-20-8-UC-10", 0x6b00_ed02_6eb6_ddcb),
+];
+
+/// Solutions per baseline digest.
+const BASELINE_SOLUTIONS: usize = 32;
+
+/// 64-bit FNV-1a over `solutions`, one byte (0 or 1) per variable, plus the
+/// number of solutions hashed.
+fn digest(solutions: impl IntoIterator<Item = Vec<bool>>) -> (usize, u64) {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0100_0000_01b3;
     let mut hash = FNV_OFFSET;
     let mut count = 0;
-    for _ in 0..2 {
-        for solution in sampler.sample_round() {
-            count += 1;
-            for bit in solution {
-                hash ^= u64::from(bit);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
+    for solution in solutions {
+        count += 1;
+        for bit in solution {
+            hash ^= u64::from(bit);
+            hash = hash.wrapping_mul(FNV_PRIME);
         }
     }
     (count, hash)
+}
+
+/// [`digest`] over the solutions of the sampler's first two rounds.
+fn digest_two_rounds(sampler: &mut GdSampler) -> (usize, u64) {
+    digest((0..2).flat_map(|_| sampler.sample_round()))
 }
 
 #[test]
@@ -70,6 +93,27 @@ fn first_two_rounds_match_the_golden_digests() {
             digest_two_rounds(&mut sampler),
             (count, digest),
             "{name}: (solutions, digest) of the first two rounds changed"
+        );
+    }
+}
+
+#[test]
+fn baseline_engines_match_their_golden_digests() {
+    let config = SessionConfig {
+        seed: 7,
+        backend: Backend::Threads(1),
+        batch: None,
+    };
+    for &(engine_name, instance_name, expected) in &BASELINE_GOLDEN {
+        let instance = table2_instance(instance_name, SuiteScale::Small).expect("instance");
+        let engine = engine_by_name(engine_name, &instance.cnf, &TransformConfig::default())
+            .expect("engine");
+        let stream = engine.stream(&config).expect("stream");
+        let (count, hash) = digest(stream.take(BASELINE_SOLUTIONS));
+        assert_eq!(
+            (count, hash),
+            (BASELINE_SOLUTIONS, expected),
+            "{engine_name} on {instance_name}: digest of the first {BASELINE_SOLUTIONS} solutions changed"
         );
     }
 }

@@ -119,6 +119,11 @@ pub trait SampleEngine: Send + Sync {
     /// of unique solutions with deduplication, deadline, stale-limit and
     /// cancellation support via the stream's builder methods.
     ///
+    /// Engines do not override this: it is where every session is counted
+    /// (`engine.sessions` and `engine.sessions.<name>`). A session that
+    /// deduplicates itself says so through
+    /// [`RoundSource::dedups_internally`].
+    ///
     /// # Errors
     ///
     /// Propagates [`SampleEngine::session`] errors.
@@ -149,17 +154,10 @@ pub trait SampleEngine: Send + Sync {
         min_solutions: usize,
         timeout: Duration,
     ) -> Result<SampleReport, TransformError> {
-        let mut stream = self.stream(config)?.with_timeout(timeout);
-        let mut solutions: Vec<Vec<bool>> = stream.by_ref().take(min_solutions).collect();
-        solutions.append(&mut stream.drain_ready());
-        let stats = *stream.stats();
-        Ok(SampleReport {
-            solutions,
-            attempts: stats.attempts,
-            valid: stats.valid,
-            rounds: stats.rounds,
-            elapsed: stream.elapsed(),
-        })
+        Ok(SampleReport::collect(
+            self.stream(config)?.with_timeout(timeout),
+            min_solutions,
+        ))
     }
 }
 

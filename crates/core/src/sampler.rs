@@ -134,6 +134,28 @@ impl SampleReport {
         }
         self.valid as f64 / self.attempts as f64
     }
+
+    /// The one blocking collector behind [`GdSampler::sample`] and
+    /// [`crate::SampleEngine::sample`]: drives `stream` until
+    /// `min_solutions` unique solutions are taken or it ends (deadline,
+    /// stale limit, cancellation), then also delivers the unique solutions
+    /// the final round discovered beyond the target — they were already
+    /// paid for.
+    pub(crate) fn collect<S: RoundSource<Item = Vec<bool>>>(
+        mut stream: SampleStream<S>,
+        min_solutions: usize,
+    ) -> SampleReport {
+        let mut solutions: Vec<Vec<bool>> = stream.by_ref().take(min_solutions).collect();
+        solutions.append(&mut stream.drain_ready());
+        let stats = *stream.stats();
+        SampleReport {
+            solutions,
+            attempts: stats.attempts,
+            valid: stats.valid,
+            rounds: stats.rounds,
+            elapsed: stream.elapsed(),
+        }
+    }
 }
 
 /// A formula carried through transformation and compilation, ready to mint
@@ -548,21 +570,7 @@ impl GdSampler {
     /// in previous calls are remembered, so repeated calls keep extending
     /// the unique set.
     pub fn sample(&mut self, min_solutions: usize, timeout: Duration) -> SampleReport {
-        let mut stream = self.stream().with_timeout(timeout);
-        let mut solutions: Vec<Vec<bool>> = stream.by_ref().take(min_solutions).collect();
-        // The final round usually discovers more unique solutions than the
-        // `take` consumed; deliver them instead of hiding them in the
-        // dedup-filter (the pre-streaming API returned them too).
-        solutions.append(&mut stream.drain_ready());
-        let stats = *stream.stats();
-        let elapsed = stream.elapsed();
-        SampleReport {
-            solutions,
-            attempts: stats.attempts,
-            valid: stats.valid,
-            rounds: stats.rounds,
-            elapsed,
-        }
+        SampleReport::collect(self.stream().with_timeout(timeout), min_solutions)
     }
 
     /// Clears the memory of previously returned solutions.

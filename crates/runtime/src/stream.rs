@@ -44,6 +44,20 @@ pub trait RoundSource {
 
     /// Receives the seen-set back when the stream is dropped.
     fn restore_seen(&mut self, _seen: HashSet<Self::Item>) {}
+
+    /// Whether the source already deduplicates: every item its rounds
+    /// return is unique across the whole stream. [`SampleStream::new`]
+    /// reads this once; a `true` source makes the stream skip its own
+    /// seen-set (halving the dedup memory and avoiding a clone per item)
+    /// and count an empty round as a stale round.
+    ///
+    /// Only sources that *must* track uniqueness internally anyway (e.g. a
+    /// QuickSampler-style session, whose mutation logic depends on which
+    /// candidates were fresh) should claim this; a source that breaks the
+    /// guarantee makes the stream yield duplicates. The default is `false`.
+    fn dedups_internally(&self) -> bool {
+        false
+    }
 }
 
 impl<S: RoundSource> RoundSource for &mut S {
@@ -63,6 +77,10 @@ impl<S: RoundSource> RoundSource for &mut S {
 
     fn restore_seen(&mut self, seen: HashSet<Self::Item>) {
         (**self).restore_seen(seen);
+    }
+
+    fn dedups_internally(&self) -> bool {
+        (**self).dedups_internally()
     }
 }
 
@@ -86,6 +104,10 @@ impl<S: RoundSource + ?Sized> RoundSource for Box<S> {
     fn restore_seen(&mut self, seen: HashSet<Self::Item>) {
         (**self).restore_seen(seen);
     }
+
+    fn dedups_internally(&self) -> bool {
+        (**self).dedups_internally()
+    }
 }
 
 /// The smallest elapsed time [`unique_throughput`] divides by: one
@@ -96,10 +118,10 @@ pub const MIN_MEASURABLE_TICK: Duration = Duration::from_micros(1);
 /// to [`MIN_MEASURABLE_TICK`].
 ///
 /// This is the **one** throughput definition every reporting layer shares
-/// (`SampleReport` in `htsat-core`, `SampleRun` in `htsat-baselines`, the
-/// bench tables): a run that completes faster than the clock can resolve
-/// yields the finite upper bound `count / 1µs` instead of silently returning
-/// the raw item *count* (which a table would then print as a rate).
+/// (`SampleReport` in `htsat-core`, the bench tables): a run that completes
+/// faster than the clock can resolve yields the finite upper bound
+/// `count / 1µs` instead of silently returning the raw item *count* (which a
+/// table would then print as a rate).
 #[must_use]
 pub fn unique_throughput(count: usize, elapsed: Duration) -> f64 {
     count as f64 / elapsed.max(MIN_MEASURABLE_TICK).as_secs_f64()
@@ -201,8 +223,7 @@ pub struct SampleStream<S: RoundSource> {
     exhausted: bool,
     seen: HashSet<S::Item>,
     /// The source guarantees round items are already unique (see
-    /// [`SampleStream::with_source_dedup`]); skip the stream's own
-    /// seen-set.
+    /// [`RoundSource::dedups_internally`]); skip the stream's own seen-set.
     source_dedups: bool,
     pending: VecDeque<S::Item>,
     stats: StreamStats,
@@ -225,6 +246,7 @@ impl<S: RoundSource> SampleStream<S> {
     /// and the default stale limit.
     pub fn new(mut source: S) -> Self {
         let seen = source.take_seen();
+        let source_dedups = source.dedups_internally();
         SampleStream {
             source,
             stop: StopToken::new(),
@@ -233,7 +255,7 @@ impl<S: RoundSource> SampleStream<S> {
             stale_rounds: 0,
             exhausted: false,
             seen,
-            source_dedups: false,
+            source_dedups,
             pending: VecDeque::new(),
             stats: StreamStats::default(),
             started: Instant::now(),
@@ -241,21 +263,6 @@ impl<S: RoundSource> SampleStream<S> {
             hit_deadline: false,
             cancelled: false,
         }
-    }
-
-    /// Declares that the source already deduplicates: every item a round
-    /// returns is unique across the whole stream. The stream then skips its
-    /// own seen-set (halving the dedup memory and avoiding a clone per
-    /// item) and treats an empty round as a stale round.
-    ///
-    /// Only sources that *must* track uniqueness internally anyway (e.g. a
-    /// QuickSampler-style session, whose mutation logic depends on which
-    /// candidates were fresh) should claim this; a source that breaks the
-    /// guarantee makes the stream yield duplicates.
-    #[must_use]
-    pub fn with_source_dedup(mut self) -> Self {
-        self.source_dedups = true;
-        self
     }
 
     /// Uses `stop` for cancellation instead of a private token.
@@ -720,17 +727,24 @@ mod tests {
             self.next = end;
             batch
         }
+
+        fn dedups_internally(&self) -> bool {
+            true
+        }
     }
 
     #[test]
     fn source_dedup_mode_skips_the_stream_seen_set_and_detects_staleness() {
-        let mut stream = SampleStream::new(SelfDeduping {
+        // Boxed and borrowed sources forward the declaration.
+        let mut borrowed = SelfDeduping {
             next: 0,
             width: 3,
             total: 7,
-        })
-        .with_source_dedup()
-        .with_stale_limit(2);
+        };
+        assert!(SampleStream::new(&mut borrowed).source_dedups);
+        let boxed: Box<dyn RoundSource<Item = usize> + Send> = Box::new(borrowed);
+        let mut stream = SampleStream::new(boxed).with_stale_limit(2);
+        assert!(stream.source_dedups);
         let items: Vec<usize> = stream.by_ref().collect();
         assert_eq!(items, (0..7).collect::<Vec<usize>>());
         assert!(stream.is_exhausted(), "empty rounds must count as stale");

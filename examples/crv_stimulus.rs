@@ -14,8 +14,8 @@
 //! generate a stream of valid stimuli, comparing against a CMSGen-style
 //! baseline.
 
-use htsat::baselines::{CmsGenLike, SatSampler};
-use htsat::core::{GdSampler, SamplerConfig};
+use htsat::baselines::engine_by_name;
+use htsat::core::{GdSampler, SamplerConfig, SessionConfig, TransformConfig};
 use htsat::instances::tseitin::CircuitEncoder;
 use std::error::Error;
 use std::time::Duration;
@@ -63,13 +63,16 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     // CMSGen-style CPU baseline.
-    let mut cms = CmsGenLike::new();
-    let cms_run = cms.sample(&cnf, 500, Duration::from_secs(10));
+    let cms_report = engine_by_name("cmsgen", &cnf, &TransformConfig::default())?.sample(
+        &SessionConfig::default(),
+        500,
+        Duration::from_secs(10),
+    )?;
     println!("\ncmsgen-like baseline:");
-    println!("  unique legal stimuli : {}", cms_run.solutions.len());
+    println!("  unique legal stimuli : {}", cms_report.solutions.len());
     println!(
         "  throughput           : {:.0} stimuli/s",
-        cms_run.throughput()
+        cms_report.throughput()
     );
 
     // Decode a few stimuli into protocol fields to show they are sensible.

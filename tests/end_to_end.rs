@@ -2,9 +2,9 @@
 //! sampling → validation against the original CNF, plus cross-sampler
 //! agreement checks.
 
-use htsat::baselines::{CmsGenLike, DiffSamplerLike, QuickSamplerLike, SatSampler, UniGenLike};
+use htsat::baselines::engine_by_name;
 use htsat::cnf::dimacs;
-use htsat::core::{transform, GdSampler, SamplerConfig};
+use htsat::core::{transform, GdSampler, SamplerConfig, SessionConfig, TransformConfig};
 use htsat::instances::families;
 use htsat::instances::suite::{table2_instances, SuiteScale};
 use htsat::solver::{dpll, CdclSolver, SolveResult};
@@ -76,21 +76,14 @@ fn gd_sampler_and_baselines_agree_on_solution_validity() {
     let gd_report = gd.sample(10, Duration::from_secs(15));
     assert!(!gd_report.solutions.is_empty());
 
-    let mut samplers: Vec<Box<dyn SatSampler>> = vec![
-        Box::new(CmsGenLike::new()),
-        Box::new(UniGenLike::new()),
-        Box::new(QuickSamplerLike::new()),
-        Box::new(DiffSamplerLike::new()),
-    ];
-    for sampler in samplers.iter_mut() {
-        let run = sampler.sample(cnf, 5, Duration::from_secs(15));
-        assert!(
-            !run.solutions.is_empty(),
-            "{} found no solutions",
-            sampler.name()
-        );
-        for s in &run.solutions {
-            assert!(cnf.is_satisfied_by_bits(s), "{} invalid", sampler.name());
+    for name in ["cmsgen", "unigen", "quicksampler", "diffsampler"] {
+        let report = engine_by_name(name, cnf, &TransformConfig::default())
+            .expect("engine")
+            .sample(&SessionConfig::default(), 5, Duration::from_secs(15))
+            .expect("session");
+        assert!(!report.solutions.is_empty(), "{name} found no solutions");
+        for s in &report.solutions {
+            assert!(cnf.is_satisfied_by_bits(s), "{name} invalid");
         }
     }
 }
@@ -109,8 +102,15 @@ fn sampled_solution_counts_never_exceed_model_count() {
     assert!(report.solutions.len() as u64 <= total);
     assert!(!report.solutions.is_empty());
 
-    let run = CmsGenLike::new().sample(&cnf, total as usize * 2, Duration::from_secs(10));
-    assert!(run.solutions.len() as u64 <= total);
+    let cms = engine_by_name("cmsgen", &cnf, &TransformConfig::default())
+        .expect("engine")
+        .sample(
+            &SessionConfig::default(),
+            total as usize * 2,
+            Duration::from_secs(10),
+        )
+        .expect("session");
+    assert!(cms.solutions.len() as u64 <= total);
 }
 
 #[test]
