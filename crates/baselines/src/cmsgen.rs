@@ -5,7 +5,7 @@
 //! restarts, re-run once per requested sample. [`CmsGenEngine`] is the same
 //! recipe on top of this workspace's CDCL solver.
 
-use htsat_cnf::Cnf;
+use htsat_cnf::{Cnf, Solution};
 use htsat_core::{BoxedSession, SampleEngine, SessionConfig, TransformError};
 use htsat_runtime::{RoundSource, StopToken};
 use htsat_solver::{CdclConfig, CdclSolver, SolveResult};
@@ -81,9 +81,9 @@ struct CmsGenSession {
 }
 
 impl RoundSource for CmsGenSession {
-    type Item = Vec<bool>;
+    type Item = Solution;
 
-    fn round(&mut self, stop: &StopToken) -> Vec<Vec<bool>> {
+    fn round(&mut self, stop: &StopToken) -> Vec<Solution> {
         let mut batch = Vec::new();
         self.last_attempts = 0;
         if self.done {
@@ -97,7 +97,7 @@ impl RoundSource for CmsGenSession {
             self.last_attempts += 1;
             self.solver.reseed(self.seed.wrapping_add(self.solve));
             match self.solver.solve() {
-                SolveResult::Sat(model) => batch.push(model),
+                SolveResult::Sat(model) => batch.push(Solution::from_bits(&model)),
                 // Unsat is final: report nothing and let the stream's stale
                 // limit end the request without re-solving forever.
                 SolveResult::Unsat => {
@@ -165,7 +165,7 @@ mod tests {
     fn engine_sessions_are_seed_deterministic() {
         let cnf = loose_cnf();
         let engine = CmsGenEngine::prepare(&cnf);
-        let take = |seed: u64| -> Vec<Vec<bool>> {
+        let take = |seed: u64| -> Vec<Solution> {
             engine
                 .stream(&SessionConfig::with_seed(seed))
                 .expect("stream")

@@ -10,7 +10,7 @@
 //! and shares it with every minted session, mirroring how
 //! [`htsat_core::PreparedFormula`] shares its compiled circuit.
 
-use htsat_cnf::Cnf;
+use htsat_cnf::{Cnf, Solution};
 use htsat_core::{BoxedSession, SampleEngine, SessionConfig, TransformError};
 use htsat_runtime::{derive_stream_seed, RoundSource, StopToken};
 use htsat_tensor::{ops, Backend, BatchMatrix, MemoryModel, SoftCircuit, SoftGate};
@@ -140,9 +140,9 @@ struct DiffSamplerSession {
 }
 
 impl RoundSource for DiffSamplerSession {
-    type Item = Vec<bool>;
+    type Item = Solution;
 
-    fn round(&mut self, stop: &StopToken) -> Vec<Vec<bool>> {
+    fn round(&mut self, stop: &StopToken) -> Vec<Solution> {
         self.last_attempts = 0;
         let n = self.cnf.num_vars();
         let scale = INIT_SCALE;
@@ -186,6 +186,7 @@ impl RoundSource for DiffSamplerSession {
                     .collect::<Vec<bool>>()
             })
             .filter(|bits| self.cnf.is_satisfied_by_bits(bits))
+            .map(|bits| Solution::from_bits(&bits))
             .collect()
     }
 
@@ -240,7 +241,7 @@ mod tests {
     fn engine_sessions_are_deterministic_across_thread_counts() {
         let cnf = gate_cnf();
         let engine = DiffSamplerEngine::prepare(&cnf);
-        let take = |threads: usize| -> Vec<Vec<bool>> {
+        let take = |threads: usize| -> Vec<Solution> {
             engine
                 .stream(&SessionConfig {
                     seed: 5,

@@ -151,6 +151,7 @@ pub(crate) mod test_support {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use htsat_cnf::Solution;
     use htsat_core::SessionConfig;
     use htsat_tensor::Backend;
     use test_support::{assert_valid_unique, gate_cnf, loose_cnf, sample};
@@ -163,14 +164,17 @@ mod tests {
                 engine_by_name(name, &cnf, &TransformConfig::default()).expect("known engine");
             assert_eq!(engine.name(), name);
             assert_eq!(engine.cnf().num_vars(), cnf.num_vars());
-            let solutions: Vec<Vec<bool>> = engine
+            let solutions: Vec<Solution> = engine
                 .stream(&SessionConfig::with_seed(5))
                 .expect("stream")
                 .take(2)
                 .collect();
             assert!(!solutions.is_empty(), "engine {name} found nothing");
             for s in &solutions {
-                assert!(cnf.is_satisfied_by_bits(s), "engine {name} invalid");
+                assert!(
+                    cnf.is_satisfied_by_bits(&s.to_bits()),
+                    "engine {name} invalid"
+                );
             }
         }
     }
@@ -192,7 +196,7 @@ mod tests {
         for name in ENGINE_NAMES {
             let engine =
                 engine_by_name(name, &cnf, &TransformConfig::default()).expect("known engine");
-            let run = |threads: usize| -> Vec<Vec<bool>> {
+            let run = |threads: usize| -> Vec<Solution> {
                 engine
                     .stream(&SessionConfig {
                         seed: 9,

@@ -8,7 +8,7 @@
 //! solver providing the seed models, one seed-model-plus-mutations block per
 //! session round.
 
-use htsat_cnf::Cnf;
+use htsat_cnf::{Cnf, Solution};
 use htsat_core::{BoxedSession, SampleEngine, SessionConfig, TransformError};
 use htsat_runtime::{RoundSource, StopToken};
 use htsat_solver::{CdclConfig, CdclSolver, SolveResult};
@@ -81,21 +81,23 @@ struct QuickSamplerSession {
     seed: u64,
     round: u64,
     done: bool,
-    seen: HashSet<Vec<bool>>,
+    seen: HashSet<Solution>,
     /// Candidates generated by the most recent round (the per-round attempt
     /// count varies with the flip successes), reported via `round_size`.
     last_attempts: usize,
 }
 
 impl QuickSamplerSession {
-    /// Validates and deduplicates one candidate; pushes fresh solutions.
-    fn offer(&mut self, batch: &mut Vec<Vec<bool>>, candidate: Vec<bool>) -> bool {
+    /// Validates and deduplicates one candidate; packs and pushes fresh
+    /// solutions.
+    fn offer(&mut self, batch: &mut Vec<Solution>, candidate: &[bool]) -> bool {
         self.last_attempts += 1;
-        if !self.cnf.is_satisfied_by_bits(&candidate) {
+        if !self.cnf.is_satisfied_by_bits(candidate) {
             return false;
         }
-        if self.seen.insert(candidate.clone()) {
-            batch.push(candidate);
+        let solution = Solution::from_bits(candidate);
+        if self.seen.insert(solution.clone()) {
+            batch.push(solution);
             true
         } else {
             false
@@ -104,9 +106,9 @@ impl QuickSamplerSession {
 }
 
 impl RoundSource for QuickSamplerSession {
-    type Item = Vec<bool>;
+    type Item = Solution;
 
-    fn round(&mut self, stop: &StopToken) -> Vec<Vec<bool>> {
+    fn round(&mut self, stop: &StopToken) -> Vec<Solution> {
         self.last_attempts = 0;
         let mut batch = Vec::new();
         if self.done || stop.is_stopped() {
@@ -135,7 +137,7 @@ impl RoundSource for QuickSamplerSession {
             }
             SolveResult::Unknown => return batch,
         };
-        self.offer(&mut batch, base.clone());
+        self.offer(&mut batch, &base);
         // Atomic mutations: flip one occurring variable at a time.
         let mut successful_flips = Vec::new();
         let mut order = (*self.occurring).clone();
@@ -146,7 +148,7 @@ impl RoundSource for QuickSamplerSession {
             }
             let mut candidate = base.clone();
             candidate[idx] = !candidate[idx];
-            if self.offer(&mut batch, candidate) {
+            if self.offer(&mut batch, &candidate) {
                 successful_flips.push(idx);
             }
         }
@@ -162,7 +164,7 @@ impl RoundSource for QuickSamplerSession {
                     candidate[idx] = !candidate[idx];
                 }
             }
-            self.offer(&mut batch, candidate);
+            self.offer(&mut batch, &candidate);
         }
         batch
     }
@@ -213,7 +215,7 @@ mod tests {
     fn engine_sessions_are_seed_deterministic() {
         let cnf = loose_cnf();
         let engine = QuickSamplerEngine::prepare(&cnf);
-        let take = |seed: u64| -> Vec<Vec<bool>> {
+        let take = |seed: u64| -> Vec<Solution> {
             engine
                 .stream(&SessionConfig::with_seed(seed))
                 .expect("stream")

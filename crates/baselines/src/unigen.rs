@@ -12,7 +12,7 @@
 //! enumeration.
 
 use crate::xor;
-use htsat_cnf::{Cnf, Var};
+use htsat_cnf::{Cnf, Solution, Var};
 use htsat_core::{BoxedSession, SampleEngine, SessionConfig, TransformError};
 use htsat_runtime::{RoundSource, StopToken};
 use htsat_solver::{enumerate, CdclConfig};
@@ -112,9 +112,9 @@ struct UniGenSession {
 }
 
 impl RoundSource for UniGenSession {
-    type Item = Vec<bool>;
+    type Item = Solution;
 
-    fn round(&mut self, stop: &StopToken) -> Vec<Vec<bool>> {
+    fn round(&mut self, stop: &StopToken) -> Vec<Solution> {
         self.last_cell = 0;
         if self.done || stop.is_stopped() {
             return Vec::new();
@@ -143,11 +143,13 @@ impl RoundSource for UniGenSession {
         );
         let cell_size = result.models.len();
         self.last_cell = cell_size;
-        let batch: Vec<Vec<bool>> = result
+        let num_vars = self.cnf.num_vars();
+        let batch: Vec<Solution> = result
             .models
-            .into_iter()
-            .map(|model| model[..self.cnf.num_vars()].to_vec())
+            .iter()
+            .map(|model| &model[..num_vars])
             .filter(|projected| self.cnf.is_satisfied_by_bits(projected))
+            .map(Solution::from_bits)
             .collect();
         match next_hash_strength(self.num_xors, cell_size, result.exhausted) {
             Some(num_xors) => self.num_xors = num_xors,
@@ -224,7 +226,7 @@ mod tests {
     fn engine_sessions_are_seed_deterministic() {
         let cnf = loose_cnf();
         let engine = UniGenEngine::prepare(&cnf);
-        let take = |seed: u64| -> Vec<Vec<bool>> {
+        let take = |seed: u64| -> Vec<Solution> {
             engine
                 .stream(&SessionConfig::with_seed(seed))
                 .expect("stream")

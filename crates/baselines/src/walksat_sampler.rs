@@ -1,7 +1,7 @@
 //! WalkSAT-based sampler: repeated stochastic local search from random
 //! starting assignments.
 
-use htsat_cnf::Cnf;
+use htsat_cnf::{Cnf, Solution};
 use htsat_core::{BoxedSession, SampleEngine, SessionConfig, TransformError};
 use htsat_runtime::{RoundSource, StopToken};
 use htsat_solver::walksat::{walksat, WalkSatConfig, WalkSatResult};
@@ -69,9 +69,9 @@ struct WalkSatSession {
 }
 
 impl RoundSource for WalkSatSession {
-    type Item = Vec<bool>;
+    type Item = Solution;
 
-    fn round(&mut self, stop: &StopToken) -> Vec<Vec<bool>> {
+    fn round(&mut self, stop: &StopToken) -> Vec<Solution> {
         let mut batch = Vec::new();
         self.last_attempts = 0;
         for _ in 0..RUNS_PER_ROUND {
@@ -86,7 +86,7 @@ impl RoundSource for WalkSatSession {
                 seed: self.seed.wrapping_add(self.run),
             };
             if let WalkSatResult::Sat(model) = walksat(&self.cnf, config) {
-                batch.push(model);
+                batch.push(Solution::from_bits(&model));
             }
         }
         batch
@@ -126,7 +126,7 @@ mod tests {
     fn engine_sessions_are_seed_deterministic() {
         let cnf = loose_cnf();
         let engine = WalkSatEngine::prepare(&cnf);
-        let take = |seed: u64| -> Vec<Vec<bool>> {
+        let take = |seed: u64| -> Vec<Solution> {
             engine
                 .stream(&SessionConfig::with_seed(seed))
                 .expect("stream")

@@ -22,7 +22,7 @@
 //! `--threads N` (worker threads, default auto).
 
 use htsat_bench::{harden_oracle, kernel_oracle};
-use htsat_cnf::dimacs;
+use htsat_cnf::{dimacs, Solution};
 use htsat_core::compile::compile;
 use htsat_core::{GdSampler, SamplerConfig};
 use htsat_tensor::Backend;
@@ -148,14 +148,14 @@ fn main() {
         let learning_rate = sampler.config().learning_rate;
         let oracle = kernel_oracle(&compiled, learning_rate);
         let harden = harden_oracle(&cnf, sampler.transform_result(), &compiled, learning_rate);
-        let solutions: Vec<Vec<bool>> = sampler
+        let solutions: Vec<Solution> = sampler
             .stream()
             .with_timeout(config.budget)
             .take(config.target)
             .collect();
         let invalid = solutions
             .iter()
-            .filter(|s| !cnf.is_satisfied_by_bits(s))
+            .filter(|s| !cnf.is_satisfied_by_bits(&s.to_bits()))
             .count();
         // An invalid-sample failure must not hide a kernel-oracle failure
         // (or vice versa): report both.

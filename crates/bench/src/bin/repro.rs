@@ -809,6 +809,7 @@ fn run_trace(
             "serve.writer.serialize",
             "serve.writer.write",
             "engine.round",
+            "stream.dedup",
         ] {
             if !sample_timelines
                 .iter()

@@ -633,7 +633,11 @@ fn drive_wire_legs(
             ..SamplerConfig::default()
         };
         let mut reference = GdSampler::new(&instance.cnf, config).expect("reference sampler");
-        let expected: Vec<Vec<bool>> = reference.stream().take(options.target).collect();
+        let expected: Vec<Vec<bool>> = reference
+            .stream()
+            .take(options.target)
+            .map(|s| s.to_bits())
+            .collect();
 
         let started = Instant::now();
         let reply = client
@@ -662,6 +666,7 @@ fn drive_wire_legs(
         .stream(&SessionConfig::with_seed(seed))
         .expect("walksat stream")
         .take(walksat_n)
+        .map(|s| s.to_bits())
         .collect();
     let started = Instant::now();
     let load = client
@@ -698,7 +703,11 @@ fn drive_wire_legs(
             };
             let mut reference =
                 GdSampler::new(&instance.cnf, config).expect("pipelined reference sampler");
-            reference.stream().take(pipelined_n).collect()
+            reference
+                .stream()
+                .take(pipelined_n)
+                .map(|s| s.to_bits())
+                .collect()
         })
         .collect();
     let started = Instant::now();
@@ -861,7 +870,9 @@ pub fn harden_oracle(
             |v| compile::free_value(free_seed, row, v),
         );
         let scalar = cnf.is_satisfied_by_bits(&bits).then_some(bits);
-        let word = words.next_if(|(r, _)| *r == row).map(|(_, bits)| bits);
+        let word = words
+            .next_if(|(r, _)| *r == row)
+            .map(|(_, solution)| solution.to_bits());
         scalar != word
     })
 }

@@ -16,6 +16,7 @@
 use htsat_baselines::engine_by_name;
 use htsat_bench::{harden_oracle, kernel_oracle};
 use htsat_core::{compile, transform, GdSampler, SamplerConfig, SessionConfig, TransformConfig};
+use htsat_instances::families::or_chain;
 use htsat_instances::suite::{table2_instance, table2_instances, SuiteScale};
 use htsat_tensor::Backend;
 
@@ -109,7 +110,7 @@ fn baseline_engines_match_their_golden_digests() {
         let engine = engine_by_name(engine_name, &instance.cnf, &TransformConfig::default())
             .expect("engine");
         let stream = engine.stream(&config).expect("stream");
-        let (count, hash) = digest(stream.take(BASELINE_SOLUTIONS));
+        let (count, hash) = digest(stream.take(BASELINE_SOLUTIONS).map(|s| s.to_bits()));
         assert_eq!(
             (count, hash),
             (BASELINE_SOLUTIONS, expected),
@@ -143,6 +144,28 @@ fn harden_oracle_agrees_on_every_table2_instance() {
             None,
             "{}: word-parallel hardening diverges from the scalar path",
             instance.name
+        );
+    }
+}
+
+#[test]
+fn harden_oracle_agrees_when_the_last_variable_block_is_partial() {
+    // Packed rows are built 64 variables at a time; these universes end
+    // mid-block (below one block, just past one, past two), with seven
+    // undriven variables at the end so free variables fill the partial
+    // block too.
+    for inputs in [20, 34, 60] {
+        let mut cnf = or_chain("or-partial-block", inputs, 2, inputs as u64).cnf;
+        cnf.grow_vars(cnf.num_vars() + 7);
+        assert_ne!(cnf.num_vars() % 64, 0, "{inputs} inputs: full last block");
+        let transformed = transform(&cnf).expect("transform");
+        let compiled = compile::compile(&transformed);
+        let learning_rate = SamplerConfig::default().learning_rate;
+        assert_eq!(
+            harden_oracle(&cnf, &transformed, &compiled, learning_rate),
+            None,
+            "{} variables: word-parallel hardening diverges from the scalar path",
+            cnf.num_vars()
         );
     }
 }

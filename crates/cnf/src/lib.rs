@@ -13,6 +13,8 @@
 //!   count,
 //! * [`Assignment`] — a (possibly partial) mapping from variables to truth
 //!   values,
+//! * [`Solution`] — a complete assignment packed one bit per variable, the
+//!   form every sampler emits,
 //! * [`Fingerprint`] — a canonical content hash stable under clause and
 //!   literal reordering, the registry key of the serving layer,
 //! * DIMACS parsing and writing ([`dimacs`]),
@@ -46,6 +48,7 @@ mod formula;
 mod lit;
 pub mod ops;
 pub mod propagate;
+mod solution;
 
 pub use assignment::Assignment;
 pub use clause::Clause;
@@ -53,3 +56,4 @@ pub use error::ParseDimacsError;
 pub use fingerprint::{Fingerprint, ParseFingerprintError};
 pub use formula::Cnf;
 pub use lit::{Lit, Var};
+pub use solution::{transpose_block, Solution, WORD_BITS};

@@ -1,6 +1,6 @@
 //! Property-based tests for the CNF substrate.
 
-use htsat_cnf::{dimacs, Assignment, Clause, Cnf, Lit, Var};
+use htsat_cnf::{dimacs, transpose_block, Assignment, Clause, Cnf, Lit, Solution, Var};
 use proptest::prelude::*;
 
 /// Strategy producing an arbitrary CNF with `max_vars` variables and up to
@@ -127,5 +127,101 @@ proptest! {
             smaller.push_clause(c.clone());
         }
         prop_assert!(count_cnf_ops(&smaller).total() <= full);
+    }
+}
+
+/// The lengths the packed-solution properties cover: empty, one bit, both
+/// sides of every word boundary up to two words, and paper scale.
+const SOLUTION_LENGTHS: [usize; 8] = [0, 1, 63, 64, 65, 127, 128, 10_600];
+
+/// `len` pseudo-random bits drawn from `seed` (SplitMix64).
+fn bits_from_seed(len: usize, seed: u64) -> Vec<bool> {
+    let mut state = seed;
+    (0..len)
+        .map(|_| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) & 1 == 1
+        })
+        .collect()
+}
+
+fn hash_of(solution: &Solution) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    solution.hash(&mut hasher);
+    hasher.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn solution_to_bits_inverts_from_bits(seed in any::<u64>()) {
+        for len in SOLUTION_LENGTHS {
+            let bits = bits_from_seed(len, seed);
+            let solution = Solution::from_bits(&bits);
+            prop_assert_eq!(solution.len(), len);
+            prop_assert_eq!(solution.words().len(), len.div_ceil(64));
+            prop_assert_eq!(solution.to_bits(), bits);
+        }
+    }
+
+    #[test]
+    fn solution_padding_bits_are_zero(seed in any::<u64>()) {
+        for len in SOLUTION_LENGTHS {
+            // All-ones input is the worst case for padding.
+            let ones = Solution::from_bits(&vec![true; len]);
+            let random = Solution::from_bits(&bits_from_seed(len, seed));
+            // Garbage padding handed to `from_words` is cleared too.
+            let garbage: Box<[u64]> = vec![!0u64; len.div_ceil(64)].into_boxed_slice();
+            let wrapped = Solution::from_words(garbage, len);
+            prop_assert_eq!(&wrapped, &ones);
+            for solution in [ones, random, wrapped] {
+                if let Some(&last) = solution.words().last() {
+                    let used = len - 64 * (solution.words().len() - 1);
+                    prop_assert_eq!(last.checked_shr(used as u32).unwrap_or(0), 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_block_swaps_word_and_bit_indices(
+        words in prop::collection::vec(any::<u64>(), 64),
+    ) {
+        let original: [u64; 64] = words.try_into().expect("64 words");
+        let mut block = original;
+        transpose_block(&mut block);
+        for (i, word) in block.iter().enumerate() {
+            for (j, source) in original.iter().enumerate() {
+                prop_assert_eq!(word >> j & 1, source >> i & 1, "word {}, bit {}", i, j);
+            }
+        }
+    }
+
+    #[test]
+    fn solutions_are_equal_and_hash_equal_exactly_when_their_bits_are(
+        seed in any::<u64>(),
+        flip in any::<u64>(),
+        same in any::<bool>(),
+    ) {
+        for len in SOLUTION_LENGTHS {
+            let a = bits_from_seed(len, seed);
+            let mut b = a.clone();
+            if !same && len > 0 {
+                let at = (flip % len as u64) as usize;
+                b[at] = !b[at];
+            }
+            let (sa, sb) = (Solution::from_bits(&a), Solution::from_bits(&b));
+            prop_assert_eq!(sa == sb, a == b, "len {}", len);
+            prop_assert_eq!(hash_of(&sa) == hash_of(&sb), a == b, "len {}", len);
+            // A longer assignment padded with false is a different one.
+            let mut longer = a.clone();
+            longer.push(false);
+            prop_assert_ne!(Solution::from_bits(&longer), sa);
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! become learnable input columns, and output constraints become ℓ2 targets.
 
 use crate::TransformResult;
-use htsat_cnf::{Cnf, Var};
+use htsat_cnf::{transpose_block, Cnf, Solution, Var, WORD_BITS};
 use htsat_logic::{GateKind, NodeRef};
 use htsat_tensor::{BatchMatrix, FlatKernel, SoftCircuit, SoftGate};
 
@@ -58,8 +58,11 @@ impl CompiledCircuit {
     /// 4. [`Cnf::satisfied_lanes`] checks every clause, masked to the
     ///    word's rows.
     ///
-    /// Returns `(row, assignment)` for each row whose assignment satisfies
-    /// `cnf`, in row order. Row for row this is the scalar composition
+    /// Returns `(row, solution)` for each row whose assignment satisfies
+    /// `cnf`, in row order. Each surviving row is packed by transposing the
+    /// variable words 64 variables at a time ([`transpose_block`]), so a
+    /// row costs one word copy per 64 variables rather than one bit test
+    /// per variable. Row for row this is the scalar composition
     /// [`TransformResult::assignment_from_inputs`] (inputs read through
     /// [`CompiledCircuit::column_of`], free variables from [`free_value`])
     /// followed by [`Cnf::is_satisfied_by_bits`], keeping the valid rows.
@@ -75,7 +78,7 @@ impl CompiledCircuit {
         logits: &BatchMatrix,
         word: usize,
         free_seed: u64,
-    ) -> Vec<(usize, Vec<bool>)> {
+    ) -> Vec<(usize, Solution)> {
         assert_eq!(
             logits.width(),
             self.num_inputs(),
@@ -105,11 +108,28 @@ impl CompiledCircuit {
             })
             .collect();
         let valid = cnf.satisfied_lanes(&vars, !0 >> (WORD_ROWS - rows));
-        (0..rows)
-            .filter(|lane| valid >> lane & 1 == 1)
-            .map(|lane| {
-                let bits = vars.iter().map(|word| word >> lane & 1 == 1).collect();
-                (first + lane, bits)
+        let lanes: Vec<usize> = (0..rows).filter(|lane| valid >> lane & 1 == 1).collect();
+        if lanes.is_empty() {
+            return Vec::new();
+        }
+        let mut packed = vec![vec![0u64; vars.len().div_ceil(WORD_BITS)]; lanes.len()];
+        let mut block = [0u64; WORD_BITS];
+        for (k, chunk) in vars.chunks(WORD_BITS).enumerate() {
+            // A partial last chunk leaves the variables beyond the universe
+            // zero, which keeps every row's padding bits zero.
+            block.fill(0);
+            block[..chunk.len()].copy_from_slice(chunk);
+            transpose_block(&mut block);
+            for (row, &lane) in packed.iter_mut().zip(&lanes) {
+                row[k] = block[lane];
+            }
+        }
+        lanes
+            .into_iter()
+            .zip(packed)
+            .map(|(lane, words)| {
+                let solution = Solution::from_words(words.into_boxed_slice(), vars.len());
+                (first + lane, solution)
             })
             .collect()
     }

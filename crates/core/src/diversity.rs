@@ -33,12 +33,16 @@ pub const MAX_PAIRS: usize = 4096;
 /// Computes diversity statistics for a set of solutions.
 ///
 /// Returns `None` when fewer than two solutions are supplied (no pairwise
-/// statistics exist).
+/// statistics exist) or when the solutions differ in length (they are not
+/// assignments over one variable universe).
 pub fn diversity(solutions: &[Vec<bool>]) -> Option<DiversityReport> {
     if solutions.len() < 2 {
         return None;
     }
     let num_vars = solutions[0].len();
+    if solutions.iter().any(|s| s.len() != num_vars) {
+        return None;
+    }
     let n = solutions.len();
     // Deterministic pair subsampling: stride through all pairs.
     let total_pairs = n * (n - 1) / 2;
@@ -144,6 +148,18 @@ mod tests {
     fn diversity_requires_at_least_two_solutions() {
         assert!(diversity(&[]).is_none());
         assert!(diversity(&[vec![true, false]]).is_none());
+    }
+
+    #[test]
+    fn diversity_rejects_solutions_of_different_lengths() {
+        // A shorter later solution used to panic on indexing, a longer one
+        // to be measured over the first solution's variables only.
+        let shorter = vec![vec![true, false, true], vec![true, false]];
+        let longer = vec![vec![true, false], vec![true, false, true]];
+        assert!(diversity(&shorter).is_none());
+        assert!(diversity(&longer).is_none());
+        let even = vec![vec![true, false], vec![false, false]];
+        assert!(diversity(&even).is_some());
     }
 
     #[test]

@@ -30,15 +30,15 @@
 
 use crate::sampler::SampleReport;
 use crate::TransformError;
-use htsat_cnf::Cnf;
+use htsat_cnf::{Cnf, Solution};
 use htsat_runtime::{RoundSource, SampleStream};
 use htsat_tensor::{Backend, MemoryModel};
 use std::time::Duration;
 
-/// A per-request sampling session: a boxed round source over solution
-/// bit-vectors. Sessions must emit only *valid* solutions of the engine's
+/// A per-request sampling session: a boxed round source over packed
+/// [`Solution`]s. Sessions must emit only *valid* solutions of the engine's
 /// CNF; deduplication is the stream's job.
-pub type BoxedSession = Box<dyn RoundSource<Item = Vec<bool>> + Send>;
+pub type BoxedSession = Box<dyn RoundSource<Item = Solution> + Send>;
 
 /// The stream type minted by [`SampleEngine::stream`].
 pub type EngineStream = SampleStream<BoxedSession>;
@@ -180,11 +180,11 @@ mod tests {
     fn engine_streams_valid_unique_solutions() {
         let engine = engine();
         let config = SessionConfig::with_seed(3);
-        let solutions: Vec<Vec<bool>> = engine.stream(&config).expect("stream").take(4).collect();
+        let solutions: Vec<Solution> = engine.stream(&config).expect("stream").take(4).collect();
         assert_eq!(solutions.len(), 4);
         let mut seen = std::collections::HashSet::new();
         for s in &solutions {
-            assert!(engine.cnf().is_satisfied_by_bits(s));
+            assert!(engine.cnf().is_satisfied_by_bits(&s.to_bits()));
             assert!(seen.insert(s.clone()), "duplicate across the stream");
         }
     }
@@ -193,7 +193,7 @@ mod tests {
     fn sessions_are_independent_and_deterministic() {
         let engine = engine();
         let config = SessionConfig::with_seed(11);
-        let take = |config: &SessionConfig| -> Vec<Vec<bool>> {
+        let take = |config: &SessionConfig| -> Vec<Solution> {
             engine.stream(config).expect("stream").take(5).collect()
         };
         // Two mints with the same config: identical sequences (no shared

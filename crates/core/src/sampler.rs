@@ -26,8 +26,9 @@
 //! through the kernel's hard-logic pass
 //! ([`htsat_tensor::FlatKernel::forward_words`]), every CNF variable
 //! takes its driver node's word, and [`Cnf::satisfied_lanes`] checks every
-//! clause for all 64 rows at once. Only the surviving rows are unpacked
-//! into `Vec<bool>` solutions. The per-row composition
+//! clause for all 64 rows at once. Only the surviving rows are packed into
+//! [`Solution`]s, by transposing the variable words 64 variables at a time.
+//! The per-row composition
 //! [`TransformResult::assignment_from_inputs`] +
 //! [`Cnf::is_satisfied_by_bits`] yields the same rows and is the oracle
 //! the word path is checked against (`htsat_bench::harden_oracle`).
@@ -48,7 +49,7 @@
 use crate::compile::{compile, CompiledCircuit, WORD_ROWS};
 use crate::transform::{transform_with_config, TransformConfig, TransformResult};
 use crate::TransformError;
-use htsat_cnf::Cnf;
+use htsat_cnf::{Cnf, Solution};
 use htsat_runtime::{derive_stream_seed, RoundSource, SampleStream, StopToken};
 use htsat_tensor::{Backend, BatchMatrix, MemoryModel, LANES};
 use rand::rngs::SmallRng;
@@ -96,7 +97,8 @@ impl Default for SamplerConfig {
 /// The outcome of a sampling run.
 #[derive(Debug, Clone)]
 pub struct SampleReport {
-    /// Unique satisfying assignments over the original CNF variables.
+    /// Unique satisfying assignments over the original CNF variables,
+    /// unpacked one `bool` per variable.
     pub solutions: Vec<Vec<bool>>,
     /// Total candidate assignments evaluated (batch size × rounds).
     pub attempts: usize,
@@ -141,12 +143,13 @@ impl SampleReport {
     /// stale limit, cancellation), then also delivers the unique solutions
     /// the final round discovered beyond the target — they were already
     /// paid for.
-    pub(crate) fn collect<S: RoundSource<Item = Vec<bool>>>(
+    pub(crate) fn collect<S: RoundSource<Item = Solution>>(
         mut stream: SampleStream<S>,
         min_solutions: usize,
     ) -> SampleReport {
-        let mut solutions: Vec<Vec<bool>> = stream.by_ref().take(min_solutions).collect();
-        solutions.append(&mut stream.drain_ready());
+        let mut packed: Vec<Solution> = stream.by_ref().take(min_solutions).collect();
+        packed.append(&mut stream.drain_ready());
+        let solutions = packed.iter().map(Solution::to_bits).collect();
         let stats = *stream.stats();
         SampleReport {
             solutions,
@@ -380,7 +383,7 @@ pub struct GdSampler {
     compiled: Arc<CompiledCircuit>,
     config: SamplerConfig,
     rng: SmallRng,
-    seen: HashSet<Vec<bool>>,
+    seen: HashSet<Solution>,
     /// The batch logit matrix, allocated once and reused every round: the
     /// fused kernel updates it in place, so the GD inner loop performs no
     /// per-row (or per-iteration) allocations.
@@ -453,16 +456,25 @@ impl GdSampler {
     }
 
     /// Runs one gradient-descent round and returns the valid (but not
-    /// deduplicated) hardened assignments.
+    /// deduplicated) hardened assignments, unpacked.
+    ///
+    /// Compatibility shim for the benchmark in `perfbench/`, which still
+    /// reads `Vec<bool>` rounds; deleted when the benchmark moves to
+    /// [`Solution`] (ROADMAP.md, item 7). Everything else runs
+    /// [`GdSampler::sample_round_cancellable`].
     pub fn sample_round(&mut self) -> Vec<Vec<bool>> {
         self.sample_round_cancellable(&StopToken::new())
+            .iter()
+            .map(Solution::to_bits)
+            .collect()
     }
 
-    /// Like [`GdSampler::sample_round`], but polls `stop` before every
+    /// Runs one gradient-descent round and returns the valid (but not
+    /// deduplicated) hardened assignments, polling `stop` before every
     /// gradient-descent iteration of each block and per hardened 64-row
-    /// word, returning early (with an empty or partial batch) once it is
-    /// set.
-    pub fn sample_round_cancellable(&mut self, stop: &StopToken) -> Vec<Vec<bool>> {
+    /// word, and returning early (with an empty or partial batch) once it
+    /// is set.
+    pub fn sample_round_cancellable(&mut self, stop: &StopToken) -> Vec<Solution> {
         let batch = self.config.batch_size;
         let n = self.compiled.num_inputs();
         let scale = self.config.init_scale;
@@ -524,7 +536,11 @@ impl GdSampler {
             self.compiled
                 .harden_word(&self.cnf, &self.logits, word, free_seed)
         });
-        words.into_iter().flatten().map(|(_, bits)| bits).collect()
+        words
+            .into_iter()
+            .flatten()
+            .map(|(_, solution)| solution)
+            .collect()
     }
 
     /// Returns a lazy stream of unique solutions, borrowing the sampler.
@@ -536,12 +552,12 @@ impl GdSampler {
     /// [`SampleStream`] builder methods:
     ///
     /// ```
-    /// # use htsat_cnf::Cnf;
+    /// # use htsat_cnf::{Cnf, Solution};
     /// # use htsat_core::{GdSampler, SamplerConfig};
     /// # let mut cnf = Cnf::new(3);
     /// # cnf.add_dimacs_clause([1, 2, 3]);
     /// # let mut sampler = GdSampler::new(&cnf, SamplerConfig::default())?;
-    /// let solutions: Vec<Vec<bool>> = sampler.stream().take(3).collect();
+    /// let solutions: Vec<Solution> = sampler.stream().take(3).collect();
     /// assert_eq!(solutions.len(), 3);
     /// # Ok::<(), htsat_core::TransformError>(())
     /// ```
@@ -583,9 +599,9 @@ impl GdSampler {
 /// one round is one cancellable gradient-descent batch, and the sampler's
 /// cross-call dedup memory is lent to the stream for its lifetime.
 impl RoundSource for GdSampler {
-    type Item = Vec<bool>;
+    type Item = Solution;
 
-    fn round(&mut self, stop: &StopToken) -> Vec<Vec<bool>> {
+    fn round(&mut self, stop: &StopToken) -> Vec<Solution> {
         self.sample_round_cancellable(stop)
     }
 
@@ -593,11 +609,11 @@ impl RoundSource for GdSampler {
         self.config.batch_size
     }
 
-    fn take_seen(&mut self) -> HashSet<Vec<bool>> {
+    fn take_seen(&mut self) -> HashSet<Solution> {
         std::mem::take(&mut self.seen)
     }
 
-    fn restore_seen(&mut self, seen: HashSet<Vec<bool>>) {
+    fn restore_seen(&mut self, seen: HashSet<Solution>) {
         self.seen = seen;
     }
 }
@@ -886,8 +902,8 @@ mod tests {
             // solution sequence of the from-scratch path.
             let mut fresh = GdSampler::new(&cnf, config.clone()).expect("fresh");
             let mut minted = prepared.sampler(config).expect("minted");
-            let from_scratch: Vec<Vec<bool>> = fresh.stream().take(6).collect();
-            let reused: Vec<Vec<bool>> = minted.stream().take(6).collect();
+            let from_scratch: Vec<Solution> = fresh.stream().take(6).collect();
+            let reused: Vec<Solution> = minted.stream().take(6).collect();
             assert_eq!(from_scratch, reused, "threads={threads}");
         }
         assert_eq!(

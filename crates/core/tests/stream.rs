@@ -40,6 +40,7 @@ fn first_solutions(backend: Backend, take: usize) -> Vec<Vec<bool>> {
         .stream()
         .with_timeout(Duration::from_secs(30))
         .take(take)
+        .map(|s| s.to_bits())
         .collect()
 }
 
@@ -81,8 +82,8 @@ fn blocking_sample_is_a_wrapper_over_the_same_stream() {
 fn stream_dedups_across_calls_like_sample() {
     let cnf = roomy_cnf();
     let mut sampler = GdSampler::new(&cnf, config_with(Backend::Threads(2))).expect("build");
-    let first: Vec<Vec<bool>> = sampler.stream().take(8).collect();
-    let second: Vec<Vec<bool>> = sampler.stream().take(8).collect();
+    let first: Vec<Vec<bool>> = sampler.stream().take(8).map(|s| s.to_bits()).collect();
+    let second: Vec<Vec<bool>> = sampler.stream().take(8).map(|s| s.to_bits()).collect();
     for s in &second {
         assert!(
             !first.contains(s),
@@ -151,6 +152,7 @@ fn deadline_bounds_the_stream() {
     let _: Vec<Vec<bool>> = SampleStream::new(&mut sampler)
         .with_timeout(Duration::from_millis(200))
         .with_stale_limit(0)
+        .map(|s| s.to_bits())
         .collect();
     assert!(
         started.elapsed() < Duration::from_secs(10),
@@ -167,6 +169,7 @@ fn solutions_from_the_stream_are_valid_and_unique() {
         .stream()
         .with_timeout(Duration::from_secs(30))
         .take(32)
+        .map(|s| s.to_bits())
         .collect();
     let unique: std::collections::HashSet<&Vec<bool>> = solutions.iter().collect();
     assert_eq!(unique.len(), solutions.len());

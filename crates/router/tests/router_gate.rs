@@ -68,7 +68,7 @@ fn reference(cnf: &htsat_cnf::Cnf, seed: u64, threads: usize, n: usize) -> Vec<V
         ..SamplerConfig::default()
     };
     let mut sampler = GdSampler::new(cnf, config).expect("reference sampler");
-    sampler.stream().take(n).collect()
+    sampler.stream().take(n).map(|s| s.to_bits()).collect()
 }
 
 /// Drains one chunked stream to completion.

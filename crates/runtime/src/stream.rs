@@ -394,12 +394,17 @@ impl<S: RoundSource> Iterator for SampleStream<S> {
             self.stats.attempts += self.source.round_size();
             self.stats.valid += batch.len();
             let mut fresh = 0usize;
-            for item in batch {
-                if self.source_dedups || self.seen.insert(item.clone()) {
-                    self.pending.push_back(item);
-                    fresh += 1;
-                } else {
-                    self.stats.duplicates += 1;
+            {
+                // One span per round around the whole seen-set pass, never
+                // one per item.
+                let _dedup_span = htsat_obs::span!("stream.dedup");
+                for item in batch {
+                    if self.source_dedups || self.seen.insert(item.clone()) {
+                        self.pending.push_back(item);
+                        fresh += 1;
+                    } else {
+                        self.stats.duplicates += 1;
+                    }
                 }
             }
             if fresh == 0 {

@@ -115,7 +115,7 @@
 //! base64 machinery.
 
 use crate::json::Json;
-use htsat_cnf::Fingerprint;
+use htsat_cnf::{Fingerprint, Solution};
 use htsat_obs::TraceId;
 use htsat_runtime::StreamStats;
 
@@ -735,23 +735,49 @@ pub fn frame_reply(id: u64, payload: Vec<(&str, Json)>) -> Json {
     Json::obj(pairs)
 }
 
+/// A solution the frame builders can write as its wire bit string.
+///
+/// [`Solution`] is what every session emits and what the daemon sends.
+/// The `Vec<bool>` implementation is a compatibility shim for the benchmark
+/// in `perfbench/`, which still frames `Vec<bool>` rounds; it is deleted,
+/// and the builders take `&[Solution]`, when the benchmark moves to
+/// `Solution` (ROADMAP.md, item 7).
+pub trait WireSolution {
+    /// The wire bit string (`'1'` = true), one character per variable.
+    fn wire_text(&self) -> String;
+}
+
+impl WireSolution for Solution {
+    fn wire_text(&self) -> String {
+        encode_packed(self)
+    }
+}
+
+impl WireSolution for Vec<bool> {
+    fn wire_text(&self) -> String {
+        encode_solution(self)
+    }
+}
+
+/// The `solutions` array of a `chunk` or `pushed` frame.
+fn solution_array<S: WireSolution>(solutions: &[S]) -> Json {
+    Json::Arr(
+        solutions
+            .iter()
+            .map(|solution| solution.wire_text().into())
+            .collect(),
+    )
+}
+
 /// Builds a v2 `chunk` frame: one incremental batch of a streaming
 /// `SAMPLE`, `seq` counting from 0 per request.
 #[must_use]
-pub fn frame_chunk(id: u64, seq: u64, solutions: &[Vec<bool>]) -> Json {
+pub fn frame_chunk<S: WireSolution>(id: u64, seq: u64, solutions: &[S]) -> Json {
     Json::obj(vec![
         ("frame", "chunk".into()),
         ("id", encode_u64_exact(id)),
         ("seq", seq.into()),
-        (
-            "solutions",
-            Json::Arr(
-                solutions
-                    .iter()
-                    .map(|bits| encode_solution(bits).into())
-                    .collect(),
-            ),
-        ),
+        ("solutions", solution_array(solutions)),
     ])
 }
 
@@ -771,20 +797,12 @@ pub fn frame_done(id: u64, payload: Vec<(&str, Json)>) -> Json {
 /// Builds a v2 `pushed` frame: one fanned-out feed batch, addressed by
 /// subscription id (`sub`), `seq` counting the feed's batches from 0.
 #[must_use]
-pub fn frame_pushed(sub: u64, seq: u64, solutions: &[Vec<bool>]) -> Json {
+pub fn frame_pushed<S: WireSolution>(sub: u64, seq: u64, solutions: &[S]) -> Json {
     Json::obj(vec![
         ("frame", "pushed".into()),
         ("sub", encode_u64_exact(sub)),
         ("seq", seq.into()),
-        (
-            "solutions",
-            Json::Arr(
-                solutions
-                    .iter()
-                    .map(|bits| encode_solution(bits).into())
-                    .collect(),
-            ),
-        ),
+        ("solutions", solution_array(solutions)),
     ])
 }
 
@@ -956,6 +974,38 @@ pub fn ok_response(mut payload: Vec<(&str, Json)>) -> Json {
 #[must_use]
 pub fn encode_solution(bits: &[bool]) -> String {
     bits.iter().map(|&b| if b { '1' } else { '0' }).collect()
+}
+
+/// The wire text of every byte of a packed solution: character `i` of
+/// entry `b` is `'1'` exactly when bit `i` of `b` is set.
+const BYTE_TEXT: [[u8; 8]; 256] = {
+    let mut table = [[b'0'; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut bit = 0;
+        while bit < 8 {
+            if byte >> bit & 1 == 1 {
+                table[byte][bit] = b'1';
+            }
+            bit += 1;
+        }
+        byte += 1;
+    }
+    table
+};
+
+/// Encodes a packed solution as the wire bit string, eight characters per
+/// table lookup — the same text [`encode_solution`] gives its bits.
+#[must_use]
+pub(crate) fn encode_packed(solution: &Solution) -> String {
+    let mut text = Vec::with_capacity(solution.words().len() * 64);
+    for word in solution.words() {
+        for byte in word.to_le_bytes() {
+            text.extend_from_slice(&BYTE_TEXT[usize::from(byte)]);
+        }
+    }
+    text.truncate(solution.len());
+    String::from_utf8(text).expect("the table holds only ASCII digits")
 }
 
 /// Decodes a wire bit string back into a solution bit-vector.
@@ -1152,6 +1202,40 @@ mod tests {
         ))
         .expect("valid JSON");
         assert!(Request::decode(&bad_n).is_err());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn packed_solutions_encode_like_their_bits(seed in proptest::prelude::any::<u64>()) {
+            // Empty, one bit, both sides of the byte and word boundaries,
+            // and paper scale.
+            for len in [0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 10_600] {
+                let bits: Vec<bool> = (0..len)
+                    .map(|i| derive_bit(seed, i))
+                    .collect();
+                let packed = Solution::from_bits(&bits);
+                proptest::prop_assert_eq!(encode_packed(&packed), encode_solution(&bits));
+                proptest::prop_assert_eq!(packed.wire_text(), bits.wire_text());
+            }
+        }
+    }
+
+    /// Bit `i` of a SplitMix64 stream seeded with `seed`.
+    fn derive_bit(seed: u64, i: usize) -> bool {
+        let mut z = seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) & 1 == 1
+    }
+
+    #[test]
+    fn both_solution_shapes_frame_identically() {
+        let bits = vec![vec![true, false, true], vec![false; 3]];
+        let packed: Vec<Solution> = bits.iter().map(|b| Solution::from_bits(b)).collect();
+        assert_eq!(frame_chunk(3, 0, &bits), frame_chunk(3, 0, &packed));
+        assert_eq!(frame_pushed(3, 0, &bits), frame_pushed(3, 0, &packed));
     }
 
     #[test]

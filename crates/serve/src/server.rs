@@ -5,7 +5,7 @@ use crate::conn;
 use crate::feed::FeedRegistry;
 use crate::json::Json;
 use crate::proto::{
-    encode_solution, encode_stats, error_response, ok_response, ErrorCode, LoadSource, Request,
+    encode_packed, encode_stats, error_response, ok_response, ErrorCode, LoadSource, Request,
     SampleParams, DEFAULT_ENGINE, DEFAULT_REGISTER_TTL_MS,
 };
 use crate::registry::{RegistryConfig, RegistryEntry, SamplerRegistry};
@@ -665,7 +665,7 @@ fn handle_sample(state: &Arc<ServerState>, params: &SampleParams) -> Json {
     let solutions: Vec<Json> = stream
         .by_ref()
         .take(params.n)
-        .map(|bits| Json::Str(encode_solution(&bits)))
+        .map(|solution| Json::Str(encode_packed(&solution)))
         .collect();
     let stats = *stream.stats();
     let elapsed = stream.elapsed();

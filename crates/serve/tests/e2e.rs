@@ -49,7 +49,7 @@ fn wire_determinism_matches_in_process_stream_at_1_and_8_threads() {
             ..SamplerConfig::default()
         };
         let mut reference = GdSampler::new(&cnf, config).expect("build sampler");
-        let expected: Vec<Vec<bool>> = reference.stream().take(N).collect();
+        let expected: Vec<Vec<bool>> = reference.stream().take(N).map(|s| s.to_bits()).collect();
         assert_eq!(expected.len(), N, "reference found enough solutions");
 
         let reply = client
@@ -80,7 +80,7 @@ fn wire_determinism_matches_in_process_stream_at_1_and_8_threads() {
         ..SamplerConfig::default()
     };
     let mut reference = GdSampler::new(&cnf, config).expect("build sampler");
-    let expected: Vec<Vec<bool>> = reference.stream().take(4).collect();
+    let expected: Vec<Vec<bool>> = reference.stream().take(4).map(|s| s.to_bits()).collect();
     let reply = client
         .sample(&SampleParams {
             n: 4,
@@ -124,6 +124,7 @@ fn cross_engine_determinism_matrix() {
                 })
                 .expect("stream")
                 .take(N)
+                .map(|s| s.to_bits())
                 .collect();
             assert_eq!(
                 expected.len(),

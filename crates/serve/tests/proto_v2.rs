@@ -328,7 +328,7 @@ fn interleaved_chunked_samples_reassemble_bit_identically() {
                     ..SamplerConfig::default()
                 };
                 let mut reference = GdSampler::new(&cnf, config).expect("reference");
-                reference.stream().take(N).collect()
+                reference.stream().take(N).map(|s| s.to_bits()).collect()
             })
             .collect();
 

@@ -43,7 +43,7 @@ fn protocol_gate() {
             ..SamplerConfig::default()
         };
         let mut sampler = GdSampler::new(&cnf, config).expect("reference sampler");
-        sampler.stream().take(N).collect()
+        sampler.stream().take(N).map(|s| s.to_bits()).collect()
     };
 
     let t0 = std::time::Instant::now();

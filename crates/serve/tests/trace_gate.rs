@@ -129,6 +129,7 @@ fn pipelined_traced_samples_attribute_reader_worker_writer_and_engine() {
             "serve.reader",
             "serve.request",
             "engine.round",
+            "stream.dedup",
             "serve.worker.queue_wait",
             "serve.writer.serialize",
             "serve.writer.write",

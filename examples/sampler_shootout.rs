@@ -16,6 +16,7 @@
 //! per-sampler special cases.
 
 use htsat::baselines::{engine_by_name, ENGINE_NAMES};
+use htsat::cnf::Solution;
 use htsat::core::{SessionConfig, TransformConfig};
 use htsat::instances::suite::{table2_instance, SuiteScale};
 use std::error::Error;
@@ -54,11 +55,11 @@ fn main() -> Result<(), Box<dyn Error>> {
         let mut stream = engine
             .stream(&SessionConfig::with_seed(0))?
             .with_timeout(timeout);
-        let mut solutions: Vec<Vec<bool>> = stream.by_ref().take(target).collect();
+        let mut solutions: Vec<Solution> = stream.by_ref().take(target).collect();
         solutions.append(&mut stream.drain_ready());
         let elapsed = started.elapsed();
         for s in &solutions {
-            assert!(instance.cnf.is_satisfied_by_bits(s));
+            assert!(instance.cnf.is_satisfied_by_bits(&s.to_bits()));
         }
         let throughput = htsat::runtime::unique_throughput(solutions.len(), elapsed);
         println!(
