@@ -114,17 +114,24 @@ fn run_fig3_mem(options: &RunOptions) {
 fn run_fig4(options: &RunOptions) {
     println!("== Fig. 4: backend speedup, ops reduction, transformation time ==\n");
     println!(
-        "{:<22} {:>16} {:>16} {:>10} {:>10} {:>14}",
-        "instance", "parallel (/s)", "sequential (/s)", "speedup", "ops red.", "transform (s)"
+        "{:<22} {:>16} {:>16} {:>10} {:>10} {:>8} {:>14}",
+        "instance",
+        "parallel (/s)",
+        "sequential (/s)",
+        "speedup",
+        "ops red.",
+        "cone",
+        "transform (s)"
     );
     for row in fig4(options) {
         println!(
-            "{:<22} {:>16.1} {:>16.1} {:>9.1}x {:>9.1}x {:>14.4}",
+            "{:<22} {:>16.1} {:>16.1} {:>9.1}x {:>9.1}x {:>7.0}% {:>14.4}",
             row.instance,
             row.parallel_throughput,
             row.sequential_throughput,
             row.speedup,
             row.ops_reduction,
+            100.0 * row.cone_share,
             row.transform_seconds
         );
     }

@@ -385,6 +385,9 @@ pub struct Fig4Row {
     pub speedup: f64,
     /// Ops-reduction ratio of the transformation (Fig. 4 middle).
     pub ops_reduction: f64,
+    /// Share of the circuit's nodes in the constrained outputs' fan-in
+    /// cone, the part the descent runs (`0..=1`).
+    pub cone_share: f64,
     /// Transformation latency in seconds (Fig. 4 right).
     pub transform_seconds: f64,
 }
@@ -399,12 +402,15 @@ pub fn fig4(options: &RunOptions) -> Vec<Fig4Row> {
             let sequential = run_gd(instance, options, Backend::Sequential);
             let stats = transform(&instance.cnf)
                 .map(|t| {
+                    let cone = t.netlist.constrained_cone();
+                    let in_cone = cone.iter().filter(|&&c| c).count();
                     (
                         t.stats.ops_reduction(),
                         t.stats.transform_time.as_secs_f64(),
+                        in_cone as f64 / cone.len().max(1) as f64,
                     )
                 })
-                .unwrap_or((0.0, 0.0));
+                .unwrap_or((0.0, 0.0, 0.0));
             Fig4Row {
                 instance: instance.name.clone(),
                 parallel_throughput: parallel.throughput,
@@ -415,6 +421,7 @@ pub fn fig4(options: &RunOptions) -> Vec<Fig4Row> {
                     f64::INFINITY
                 },
                 ops_reduction: stats.0,
+                cone_share: stats.2,
                 transform_seconds: stats.1,
             }
         })

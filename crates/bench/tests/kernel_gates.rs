@@ -8,7 +8,9 @@
 //!   engine on one instance, so a change to a recipe's parameters or
 //!   session logic shows up as a changed digest;
 //! * the kernel oracle replays rows through the fused kernel and the
-//!   staged `SoftCircuit` composition and requires identical bits;
+//!   staged `SoftCircuit` composition and requires identical bits, also on
+//!   a paper-scale instance whose constrained cone is a small part of the
+//!   circuit;
 //! * the harden oracle replays rows through the word-parallel hardening
 //!   pass and the scalar reconstruct-and-validate composition and requires
 //!   the same surviving rows with the same bits.
@@ -131,6 +133,23 @@ fn kernel_oracle_agrees_on_every_table2_instance() {
             instance.name
         );
     }
+}
+
+#[test]
+fn kernel_oracle_agrees_on_a_paper_scale_partial_cone() {
+    // Paper-scale `s15850a_3_2`: the descent runs about a fifth of the
+    // circuit, and its block workspace holds only the cone's columns.
+    let instance = table2_instance("s15850a_3_2", SuiteScale::Paper).expect("instance");
+    let compiled = compile::compile(&transform(&instance.cnf).expect("transform"));
+    let kernel = &compiled.kernel;
+    assert!(kernel.descend_nodes() < kernel.num_nodes() / 2);
+    assert!(kernel.descend_inputs() < kernel.num_inputs());
+    let learning_rate = SamplerConfig::default().learning_rate;
+    assert_eq!(
+        kernel_oracle(&compiled, learning_rate),
+        None,
+        "paper-scale s15850a_3_2: fused kernel diverges from the reference circuit"
+    );
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! in the paper are consumed.
 
 use crate::error::ParseDimacsErrorKind;
-use crate::{Cnf, Lit, ParseDimacsError};
+use crate::{Cnf, Lit, ParseDimacsError, Var};
 use std::io::{self, Write};
 use std::path::Path;
 
@@ -14,8 +14,10 @@ use std::path::Path;
 ///
 /// # Errors
 ///
-/// Returns [`ParseDimacsError`] if the header is malformed, a literal token is
-/// not an integer, or the final clause is not terminated by `0`.
+/// Returns [`ParseDimacsError`] if the header is malformed or declares more
+/// than [`Var::MAX_INDEX`] variables, a literal token is not an integer or
+/// its magnitude exceeds [`Var::MAX_INDEX`], or the final clause is not
+/// terminated by `0`.
 ///
 /// # Example
 ///
@@ -49,7 +51,10 @@ pub fn parse_str(input: &str) -> Result<Cnf, ParseDimacsError> {
             let mut parts = trimmed.split_whitespace();
             let _p = parts.next();
             let fmt = parts.next().unwrap_or("");
-            let vars = parts.next().and_then(|t| t.parse::<usize>().ok());
+            let vars = parts
+                .next()
+                .and_then(|t| t.parse::<usize>().ok())
+                .filter(|&vars| vars <= Var::MAX_INDEX as usize);
             let clauses = parts.next().and_then(|t| t.parse::<usize>().ok());
             if fmt != "cnf" || vars.is_none() || clauses.is_none() {
                 return Err(ParseDimacsError {
@@ -68,10 +73,14 @@ pub fn parse_str(input: &str) -> Result<Cnf, ParseDimacsError> {
             });
         }
         for token in trimmed.split_whitespace() {
-            let value: i64 = token.parse().map_err(|_| ParseDimacsError {
-                line: lineno,
-                kind: ParseDimacsErrorKind::BadLiteral(token.to_string()),
-            })?;
+            let value: i64 = token
+                .parse()
+                .ok()
+                .filter(|v: &i64| v.unsigned_abs() <= u64::from(Var::MAX_INDEX))
+                .ok_or_else(|| ParseDimacsError {
+                    line: lineno,
+                    kind: ParseDimacsErrorKind::BadLiteral(token.to_string()),
+                })?;
             if value == 0 {
                 cnf.add_clause(current.drain(..));
             } else {
@@ -193,6 +202,30 @@ mod tests {
         let reparsed = parse_str(&text).expect("reparse");
         assert_eq!(original.num_vars(), reparsed.num_vars());
         assert_eq!(original.clauses(), reparsed.clauses());
+    }
+
+    #[test]
+    fn rejects_literals_beyond_the_largest_variable() {
+        // Accepted, these would alias a small variable or panic.
+        for (text, token) in [
+            ("p cnf 3 1\n2147483649 0\n", "2147483649"),
+            ("p cnf 3 1\n4294967297 -2 0\n", "4294967297"),
+            ("p cnf 3 1\n-4294967296 0\n", "-4294967296"),
+        ] {
+            let err = parse_str(text).unwrap_err();
+            assert_eq!(err.line, 2);
+            assert_eq!(err.kind, ParseDimacsErrorKind::BadLiteral(token.into()));
+        }
+        let largest = parse_str("p cnf 1 1\n-2147483648 0\n").expect("parse");
+        assert_eq!(largest.clauses()[0].lits()[0].to_dimacs(), -2147483648);
+    }
+
+    #[test]
+    fn rejects_a_header_beyond_the_largest_variable() {
+        let err = parse_str("p cnf 2147483649 0\n").unwrap_err();
+        assert!(matches!(err.kind, ParseDimacsErrorKind::BadHeader(_)));
+        let largest = parse_str("p cnf 2147483648 0\n").expect("parse");
+        assert_eq!(largest.num_vars(), 1 << 31);
     }
 
     #[test]

@@ -9,6 +9,10 @@ use std::fmt;
 pub struct Var(u32);
 
 impl Var {
+    /// The largest variable index a [`Lit`] can encode: its code
+    /// `2 * (index - 1) + 1` must fit in a `u32`.
+    pub const MAX_INDEX: u32 = 1 << 31;
+
     /// Creates a variable from its 1-based DIMACS index.
     ///
     /// # Panics
@@ -107,11 +111,17 @@ impl Lit {
     ///
     /// # Panics
     ///
-    /// Panics if `value` is zero.
+    /// Panics if `value` is zero or its magnitude exceeds
+    /// [`Var::MAX_INDEX`].
     #[inline]
     pub fn from_dimacs(value: i64) -> Self {
         assert!(value != 0, "DIMACS literal must be non-zero");
-        Lit::new(Var::new(value.unsigned_abs() as u32), value > 0)
+        let index = value.unsigned_abs();
+        assert!(
+            index <= u64::from(Var::MAX_INDEX),
+            "DIMACS literal magnitude must not exceed Var::MAX_INDEX"
+        );
+        Lit::new(Var::new(index as u32), value > 0)
     }
 
     /// Returns the literal in DIMACS integer form.

@@ -22,6 +22,17 @@ fn arb_bits(n: usize) -> impl Strategy<Value = Vec<bool>> {
     prop::collection::vec(any::<bool>(), n)
 }
 
+/// DIMACS literal tokens of every magnitude: full-range `i64`s, the same
+/// shifted down to every width, and values around [`Var::MAX_INDEX`].
+fn arb_token() -> impl Strategy<Value = i64> {
+    let edge = 1i64 << 32;
+    prop_oneof![
+        any::<i64>(),
+        (any::<i64>(), 0u32..64).prop_map(|(v, shift)| v >> shift),
+        -edge..=edge,
+    ]
+}
+
 proptest! {
     #[test]
     fn dimacs_round_trip_preserves_semantics(cnf in arb_cnf(8, 16, 4), bits in arb_bits(8)) {
@@ -88,6 +99,35 @@ proptest! {
             .collect();
         let assignment = Assignment::from_bits(&bits);
         prop_assert_eq!(clause.eval(&assignment), Some(clause.eval_bits(&bits)));
+    }
+
+    #[test]
+    fn arbitrary_literal_tokens_parse_or_fail_without_panicking(
+        tokens in prop::collection::vec(arb_token(), 1..12),
+    ) {
+        // One line of tokens; a zero among them closes a clause early.
+        let line: Vec<String> = tokens.iter().map(i64::to_string).collect();
+        let text = format!("p cnf 1 1\n{} 0\n", line.join(" "));
+        let in_range = |t: &&i64| t.unsigned_abs() <= u64::from(Var::MAX_INDEX);
+        match dimacs::parse_str(&text) {
+            Ok(cnf) => {
+                prop_assert!(tokens.iter().all(|t| in_range(&t)));
+                let read: Vec<i64> = cnf
+                    .clauses()
+                    .iter()
+                    .flat_map(Clause::lits)
+                    .map(|l| l.to_dimacs())
+                    .collect();
+                let written: Vec<i64> = tokens.iter().copied().filter(|&t| t != 0).collect();
+                prop_assert_eq!(read, written);
+            }
+            Err(err) => {
+                let first = tokens.iter().find(|t| !in_range(t));
+                prop_assert!(first.is_some(), "rejected in-range tokens: {err}");
+                let expected = format!("line 2: invalid literal token `{}`", first.unwrap());
+                prop_assert_eq!(err.to_string(), expected);
+            }
+        }
     }
 
     #[test]

@@ -148,8 +148,16 @@ pub fn free_value(free_seed: u64, row: usize, var: Var) -> bool {
 
 /// Compiles the transformation result into a [`SoftCircuit`].
 ///
-/// The node order of the netlist is preserved, so netlist node `i` becomes
-/// soft-circuit node `i`.
+/// The nodes are emitted cone-first: the fan-in cone of the constrained
+/// outputs ([`htsat_logic::Netlist::constrained_cone`], the paper's
+/// "constrained paths"), then every other node, each half in netlist
+/// order. The cone is closed under fan-in, so both halves stay
+/// topological, and the cone is exactly the kernel's descend prefix
+/// ([`FlatKernel::descend_nodes`]), because its last node is an output
+/// (every other cone node feeds a later one): the descent never runs a
+/// node outside it. Cone nodes keep their relative order, so every gradient accumulates
+/// from the same consumers in the same order as in netlist order — the
+/// reordering changes no bit of any loss, gradient or solution.
 pub fn compile(result: &TransformResult) -> CompiledCircuit {
     let netlist = &result.netlist;
     let input_vars: Vec<Var> = netlist
@@ -162,6 +170,16 @@ pub fn compile(result: &TransformResult) -> CompiledCircuit {
     for (col, var) in input_vars.iter().enumerate() {
         columns[var.as_usize()] = Some(col);
     }
+    let cone = netlist.constrained_cone();
+    let order: Vec<usize> = (0..cone.len())
+        .filter(|&i| cone[i])
+        .chain((0..cone.len()).filter(|&i| !cone[i]))
+        .collect();
+    // `position[i]`: where netlist node `i` lands in the circuit.
+    let mut position = vec![0; order.len()];
+    for (new, &old) in order.iter().enumerate() {
+        position[old] = new;
+    }
     // Bindings beyond the formula's universe do not reach an assignment
     // (as in `TransformResult::assignment_from_inputs`).
     let mut drivers = vec![None; result.num_vars()];
@@ -170,13 +188,13 @@ pub fn compile(result: &TransformResult) -> CompiledCircuit {
             .checked_sub(1)
             .and_then(|i| drivers.get_mut(i));
         if let Some(slot) = slot {
-            *slot = Some(node.index());
+            *slot = Some(position[node.index()]);
         }
     }
 
     let mut circuit = SoftCircuit::new(input_vars.len());
-    for node in netlist.nodes() {
-        match node {
+    for &old in &order {
+        match &netlist.nodes()[old] {
             NodeRef::Input(var) => {
                 let col =
                     columns[Var::new(*var).as_usize()].expect("input nodes are primary inputs");
@@ -196,13 +214,14 @@ pub fn compile(result: &TransformResult) -> CompiledCircuit {
                     GateKind::Xor => SoftGate::Xor,
                     GateKind::Xnor => SoftGate::Xnor,
                 };
-                let fanin: Vec<usize> = fanin.iter().map(|f| f.index()).collect();
+                let fanin: Vec<usize> = fanin.iter().map(|f| position[f.index()]).collect();
                 circuit.gate(gate, fanin);
             }
         }
     }
     for output in netlist.outputs() {
-        circuit.constrain(output.node.index(), if output.target { 1.0 } else { 0.0 });
+        let target = if output.target { 1.0 } else { 0.0 };
+        circuit.constrain(position[output.node.index()], target);
     }
     let kernel = FlatKernel::compile(&circuit);
     CompiledCircuit {
@@ -219,6 +238,7 @@ mod tests {
     use super::*;
     use crate::transform;
     use htsat_cnf::Cnf;
+    use htsat_instances::suite::{table2_instance, SuiteScale};
     use htsat_tensor::{Backend, BatchMatrix};
 
     fn and_constrained_cnf() -> Cnf {
@@ -292,6 +312,52 @@ mod tests {
                 (out.get(0, o) - target).abs() < 1e-6
             });
             assert_eq!(netlist_ok, soft_ok, "mask {mask:b}");
+        }
+    }
+
+    #[test]
+    fn cone_first_order_is_topological_and_keeps_every_driver() {
+        // Small `s15850a_3_2`: its cone is a part of the circuit.
+        let instance = table2_instance("s15850a_3_2", SuiteScale::Small).expect("instance");
+        let result = transform(&instance.cnf).expect("transform");
+        let compiled = compile(&result);
+        let nodes = compiled.circuit.nodes();
+        for (i, node) in nodes.iter().enumerate() {
+            assert!(
+                node.fanin.iter().all(|&f| f < i),
+                "node {i} reads a later node"
+            );
+        }
+        let cone = result.netlist.constrained_cone();
+        let in_cone = cone.iter().filter(|&&c| c).count();
+        assert!(in_cone < nodes.len(), "the cone is partial");
+        assert_eq!(compiled.kernel.descend_nodes(), in_cone);
+
+        // Each variable's driver node computes, word-wide, what its
+        // netlist driver computes in netlist order, row by row.
+        let n = compiled.num_inputs();
+        let inputs: Vec<u64> = (0..n)
+            .map(|c| (c as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .collect();
+        let mut words = vec![0u64; compiled.kernel.num_nodes()];
+        compiled.kernel.forward_words(&inputs, &mut words);
+        for lane in 0..WORD_ROWS {
+            let values = result.netlist.evaluate(|v| {
+                let col = compiled.column_of(Var::new(v)).expect("primary input");
+                inputs[col] >> lane & 1 == 1
+            });
+            for (i, driver) in compiled.drivers.iter().enumerate() {
+                let var = i as u32 + 1;
+                let netlist_driver = result.netlist.driver_of(var).map(|d| d.index());
+                assert_eq!(driver.is_some(), netlist_driver.is_some(), "x{var}");
+                if let (Some(node), Some(d)) = (driver, netlist_driver) {
+                    assert_eq!(
+                        words[*node] >> lane & 1 == 1,
+                        values[d],
+                        "x{var}, row {lane}"
+                    );
+                }
+            }
         }
     }
 

@@ -245,7 +245,18 @@ mod tests {
     fn artifact_dims_report_the_compiled_circuit() {
         let engine = engine();
         let dims = engine.artifact_dims();
-        assert!(dims.iter().any(|&(name, v)| name == "inputs" && v > 0));
-        assert!(dims.iter().any(|&(name, v)| name == "nodes" && v > 0));
+        let dim = |name: &str| dims.iter().find(|&&(n, _)| n == name).map(|&(_, v)| v);
+        assert!(dim("inputs") > Some(0));
+        assert!(dim("nodes") > Some(0));
+        // The cone sizes are the netlist's constrained cone.
+        let netlist = &engine.transform_result().netlist;
+        let cone = netlist
+            .constrained_cone()
+            .into_iter()
+            .filter(|&c| c)
+            .count();
+        assert_eq!(dim("cone_nodes"), Some(cone));
+        assert_eq!(dim("cone_inputs"), Some(netlist.partition_inputs().0.len()));
+        assert!(dim("cone_nodes") <= dim("nodes"));
     }
 }

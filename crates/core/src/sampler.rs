@@ -195,7 +195,10 @@ impl PreparedFormula {
     /// Returns a [`TransformError`] if the formula is structurally
     /// unsatisfiable.
     pub fn prepare(cnf: &Cnf, transform_config: &TransformConfig) -> Result<Self, TransformError> {
-        let transform = transform_with_config(cnf, transform_config)?;
+        let transform = {
+            let _span = htsat_obs::span!("prepare.transform");
+            transform_with_config(cnf, transform_config)?
+        };
         Ok(Self::from_transformed(cnf, transform_config, transform))
     }
 
@@ -212,7 +215,10 @@ impl PreparedFormula {
         transform_config: &TransformConfig,
         transform: TransformResult,
     ) -> Self {
-        let compiled = compile(&transform);
+        let compiled = {
+            let _span = htsat_obs::span!("prepare.compile");
+            compile(&transform)
+        };
         PreparedFormula {
             cnf: Arc::new(cnf.clone()),
             transform_config: transform_config.clone(),
@@ -328,19 +334,30 @@ impl crate::SampleEngine for PreparedFormula {
         PreparedFormula::memory_model(self, batch, workers)
     }
 
+    /// The compiled circuit's input columns and nodes, and how many of each
+    /// lie in the constrained outputs' fan-in cone (the part the descent
+    /// runs).
     fn artifact_dims(&self) -> Vec<(&'static str, usize)> {
-        vec![("inputs", self.num_inputs()), ("nodes", self.num_nodes())]
+        let kernel = &self.compiled.kernel;
+        vec![
+            ("inputs", self.num_inputs()),
+            ("nodes", self.num_nodes()),
+            ("cone_inputs", kernel.descend_inputs()),
+            ("cone_nodes", kernel.descend_nodes()),
+        ]
     }
 }
 
 /// The buffer model of one sampling round over `compiled` at `batch` rows
 /// and `workers` pool workers: the persistent logit matrix plus one
-/// [`LANES`]-wide block workspace per worker, as the descend region builds
-/// them.
+/// [`LANES`]-wide block workspace per worker over the descend prefix and
+/// its input columns, as the descend region builds them.
 fn memory_model(compiled: &CompiledCircuit, batch: usize, workers: usize) -> MemoryModel {
-    MemoryModel::new(compiled.num_inputs(), compiled.circuit.num_nodes(), batch)
+    let kernel = &compiled.kernel;
+    MemoryModel::new(compiled.num_inputs(), kernel.descend_nodes(), batch)
+        .with_workspace_inputs(kernel.descend_inputs())
         .with_workers(workers)
-        .with_max_fanin(compiled.kernel.max_fanin())
+        .with_max_fanin(kernel.max_fanin())
         .with_lanes(LANES)
 }
 
@@ -588,11 +605,6 @@ impl GdSampler {
     pub fn sample(&mut self, min_solutions: usize, timeout: Duration) -> SampleReport {
         SampleReport::collect(self.stream().with_timeout(timeout), min_solutions)
     }
-
-    /// Clears the memory of previously returned solutions.
-    pub fn reset_unique_filter(&mut self) {
-        self.seen.clear();
-    }
 }
 
 /// A [`GdSampler`] is a round source for the runtime's streaming service:
@@ -622,6 +634,7 @@ impl RoundSource for GdSampler {
 mod tests {
     use super::*;
     use htsat_cnf::dimacs;
+    use htsat_instances::suite::{table2_instance, SuiteScale};
 
     fn mux_constrained_cnf() -> Cnf {
         // x5 = MUX(x4; x2, x3) with x5 = 1 and x4 = ¬x1.
@@ -874,15 +887,22 @@ mod tests {
 
     #[test]
     fn memory_model_counts_the_block_workspace_the_descend_region_builds() {
-        let prepared =
-            PreparedFormula::prepare(&mux_constrained_cnf(), &TransformConfig::default())
-                .expect("prepare");
-        let block = prepared.compiled.kernel.lane_workspace::<LANES>();
-        for batch in [1, 256] {
-            assert_eq!(
-                prepared.memory_model(batch, 1).workspace_bytes(),
-                block.bytes() as u64
-            );
+        // The MUX formula's cone is its whole circuit; small `s15850a_3_2`'s
+        // is a part of it, so its workspace holds only the cone.
+        let partial = table2_instance("s15850a_3_2", SuiteScale::Small).expect("instance");
+        for (cnf, whole_cone) in [(mux_constrained_cnf(), true), (partial.cnf, false)] {
+            let prepared =
+                PreparedFormula::prepare(&cnf, &TransformConfig::default()).expect("prepare");
+            let kernel = &prepared.compiled.kernel;
+            let block = kernel.lane_workspace::<LANES>();
+            for batch in [1, 256] {
+                assert_eq!(
+                    prepared.memory_model(batch, 1).workspace_bytes(),
+                    block.bytes() as u64
+                );
+            }
+            assert_eq!(kernel.descend_nodes() == prepared.num_nodes(), whole_cone);
+            assert_eq!(kernel.descend_inputs() == prepared.num_inputs(), whole_cone);
         }
     }
 
@@ -912,6 +932,17 @@ mod tests {
         );
         assert!(prepared.num_nodes() > 0);
         assert!(prepared.memory_model(256, 4).total_bytes() > 0);
+    }
+
+    #[test]
+    fn preparing_records_a_transform_and_a_compile_span() {
+        let count = |name| htsat_obs::global().histogram(name).count();
+        let (transforms, compiles) = (count("prepare.transform"), count("prepare.compile"));
+        PreparedFormula::prepare(&mux_constrained_cnf(), &TransformConfig::default())
+            .expect("prepare");
+        // Other tests may prepare concurrently, so the counts only grow.
+        assert!(count("prepare.transform") > transforms);
+        assert!(count("prepare.compile") > compiles);
     }
 
     #[test]

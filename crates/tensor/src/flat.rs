@@ -16,6 +16,16 @@
 //! `L = 1` instantiation; the sampler's descend region runs blocks of
 //! [`LANES`] rows through [`FlatKernel::fused_gd_block`].
 //!
+//! The descent runs only the *descend prefix*: the nodes up to and including
+//! the last constrained output. No later node can reach an output, so none
+//! receives a gradient or feeds the loss. A circuit compiled cone-first (the
+//! outputs' fan-in cone before every other node, as `htsat_core::compile`
+//! orders it) has exactly its cone as that prefix, which is the paper's
+//! "constrained paths". Only the input columns the prefix reads move
+//! through the descent; every other column's gradient is zero, so its logit
+//! would not change anyway. The hard-logic pass [`FlatKernel::forward_words`]
+//! and the one-row [`FlatKernel::forward`] still run every node.
+//!
 //! Every lane replays the reference implementation *operation for
 //! operation* (same `ops::` rules, same accumulation order, same binary fast
 //! paths). A node whose gradient is zero in every lane is skipped; otherwise
@@ -62,9 +72,11 @@ enum OpCode {
 /// batch rows at once, one lane per row.
 ///
 /// A workspace owns every buffer a kernel invocation touches: the logits,
-/// embedded probabilities and input gradients of its rows, the node
-/// activations and node gradients, and the fan-in gather scratch — each
-/// entry `[f32; L]`. Build one with [`FlatKernel::workspace`] (`L = 1`) or
+/// embedded probabilities and input gradients of the descend columns, the
+/// activations and gradients of the descend prefix's nodes, and the fan-in
+/// gather scratch — each entry `[f32; L]`. Build one with
+/// [`FlatKernel::workspace`] (`L = 1`, with room for every node's
+/// activation, as [`FlatKernel::forward`] needs) or
 /// [`FlatKernel::lane_workspace`], then reuse it for every row or block a
 /// worker processes — the kernels fully overwrite whatever they read, so a
 /// workspace carries no state between calls. Executors thread workspaces
@@ -116,6 +128,13 @@ pub struct FlatKernel {
     outputs: Vec<(u32, f32)>,
     num_inputs: usize,
     max_fanin: usize,
+    /// `payload` of the descend prefix, with each input node's column
+    /// replaced by its slot in `descend_columns`; its length is the
+    /// prefix length.
+    descend_payload: Vec<u32>,
+    /// The input columns the descend prefix reads, ascending: workspace
+    /// slot `k` holds column `descend_columns[k]`.
+    descend_columns: Vec<u32>,
 }
 
 impl FlatKernel {
@@ -152,10 +171,34 @@ impl FlatKernel {
             }
             offsets.push(u32::try_from(fanin.len()).expect("edge count fits"));
         }
-        let outputs = circuit
+        let outputs: Vec<(u32, f32)> = circuit
             .outputs()
             .iter()
             .map(|&(node, target)| (u32::try_from(node).expect("node index fits"), target))
+            .collect();
+        // The descend prefix ends at the last constrained output: no later
+        // node reaches an output. Its input nodes read `descend_columns`,
+        // and the descent addresses them by slot.
+        let prefix = outputs.iter().map(|&(node, _)| node as usize + 1).max();
+        let prefix = prefix.unwrap_or(0);
+        let mut read = vec![false; circuit.num_inputs()];
+        for i in 0..prefix {
+            if opcodes[i] == OpCode::Input {
+                read[payload[i] as usize] = true;
+            }
+        }
+        let descend_columns: Vec<u32> = (0..read.len() as u32)
+            .filter(|&col| read[col as usize])
+            .collect();
+        let mut slot = vec![0u32; read.len()];
+        for (k, &col) in descend_columns.iter().enumerate() {
+            slot[col as usize] = k as u32;
+        }
+        let descend_payload = (0..prefix)
+            .map(|i| match opcodes[i] {
+                OpCode::Input => slot[payload[i] as usize],
+                _ => payload[i],
+            })
             .collect();
         FlatKernel {
             opcodes,
@@ -165,6 +208,8 @@ impl FlatKernel {
             outputs,
             num_inputs: circuit.num_inputs(),
             max_fanin: circuit.max_fanin(),
+            descend_payload,
+            descend_columns,
         }
     }
 
@@ -188,50 +233,59 @@ impl FlatKernel {
         self.outputs.len()
     }
 
-    /// Builds a one-row workspace sized for this kernel.
-    pub fn workspace(&self) -> Workspace {
-        self.lane_workspace()
+    /// Number of nodes the descent runs: the prefix up to and including
+    /// the last constrained output (zero without outputs). In a cone-first
+    /// circuit this is the outputs' fan-in cone.
+    pub fn descend_nodes(&self) -> usize {
+        self.descend_payload.len()
     }
 
-    /// Builds a workspace sized for this kernel that carries `L` rows side
-    /// by side, for [`FlatKernel::fused_gd_block`].
+    /// Number of input columns the descent reads and updates: those the
+    /// descend prefix's input nodes read.
+    pub fn descend_inputs(&self) -> usize {
+        self.descend_columns.len()
+    }
+
+    /// Builds a one-row workspace sized for this kernel, with room for
+    /// every node's activation.
+    pub fn workspace(&self) -> Workspace {
+        self.sized_workspace(self.opcodes.len())
+    }
+
+    /// Builds a workspace sized for this kernel's descent that carries `L`
+    /// rows side by side, for [`FlatKernel::fused_gd_block`]: the descend
+    /// columns and the descend prefix's nodes.
     pub fn lane_workspace<const L: usize>(&self) -> Workspace<L> {
+        self.sized_workspace(self.descend_nodes())
+    }
+
+    /// A workspace for the descent with room for `acts` node activations.
+    fn sized_workspace<const L: usize>(&self, acts: usize) -> Workspace<L> {
         let lanes = |len| vec![[0.0; L]; len];
+        let (columns, nodes) = (self.descend_inputs(), self.descend_nodes());
         Workspace {
-            logits: lanes(self.num_inputs),
-            probs: lanes(self.num_inputs),
-            grad_inputs: lanes(self.num_inputs),
-            acts: lanes(self.opcodes.len()),
-            node_grad: lanes(self.opcodes.len()),
+            logits: lanes(columns),
+            probs: lanes(columns),
+            grad_inputs: lanes(columns),
+            acts: lanes(acts),
+            node_grad: lanes(nodes),
             fanin_p: lanes(self.max_fanin),
             fanin_g: lanes(self.max_fanin),
         }
     }
 
-    /// Debug-build guard: a workspace sized for a *different* kernel would
-    /// not panic on its own (the fan-in gather zips against the scratch
-    /// length and would silently truncate) — catch the misuse loudly.
-    fn check_workspace<const L: usize>(&self, ws: &Workspace<L>) {
-        let nodes = self.opcodes.len();
-        debug_assert!(
-            ws.acts.len() == nodes
-                && ws.node_grad.len() == nodes
-                && ws.logits.len() == self.num_inputs
-                && ws.probs.len() == self.num_inputs
-                && ws.grad_inputs.len() == self.num_inputs
-                && ws.fanin_p.len() >= self.max_fanin
-                && ws.fanin_g.len() >= self.max_fanin,
-            "workspace/kernel mismatch"
-        );
-    }
-
-    /// Forward pass for one batch row; activations land in
+    /// Forward pass for one batch row over every node; activations land in
     /// [`Workspace::activations`].
     ///
     /// Matches [`SoftCircuit::forward_single`] bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ws` has no room for every node's activation (a lane
+    /// workspace only holds the descend prefix; use
+    /// [`FlatKernel::workspace`]).
     pub fn forward(&self, inputs: &[f32], ws: &mut Workspace) {
-        self.check_workspace(ws);
-        self.forward_lanes(inputs.as_chunks().0, &mut ws.acts);
+        self.forward_lanes(&self.payload, inputs.as_chunks().0, &mut ws.acts);
     }
 
     /// Loss and input gradient for one batch row, matching
@@ -239,14 +293,14 @@ impl FlatKernel {
     ///
     /// `grad_inputs` (length `num_inputs`) receives `∂L/∂p` per input
     /// column; the return value is the summed ℓ2 loss over the constrained
-    /// outputs. Allocation-free: all scratch lives in `ws`.
+    /// outputs. Only the descend prefix runs. Allocation-free: all scratch
+    /// lives in `ws`.
     pub fn loss_and_grad(
         &self,
         inputs: &[f32],
         grad_inputs: &mut [f32],
         ws: &mut Workspace,
     ) -> f64 {
-        self.check_workspace(ws);
         let Workspace {
             acts,
             node_grad,
@@ -254,8 +308,10 @@ impl FlatKernel {
             fanin_g,
             ..
         } = ws;
-        self.forward_lanes(inputs.as_chunks().0, acts);
+        let prefix = &self.payload[..self.descend_nodes()];
+        self.forward_lanes(prefix, inputs.as_chunks().0, acts);
         let [loss] = self.backward_lanes(
+            prefix,
             acts,
             node_grad,
             grad_inputs.as_chunks_mut().0,
@@ -289,12 +345,15 @@ impl FlatKernel {
     /// [`FlatKernel::fused_gd_step`]) on a block of at most `L` row-major
     /// logit rows at once, one lane per row.
     ///
-    /// The rows are transposed into the workspace once, `stopped` is polled
-    /// before every iteration (the block stops at the first `true`), and
-    /// the rows are transposed back. Lanes past the last row of a partial
-    /// block compute on zero logits and are never written back. Every row
-    /// ends bit-identical to running [`FlatKernel::fused_gd_step`] on it
-    /// the same number of times.
+    /// The rows' descend columns are transposed into the workspace once,
+    /// `stopped` is polled before every iteration (the block stops at the
+    /// first `true`), each iteration runs the descend prefix only, and the
+    /// columns are transposed back. Every other column is left as it was:
+    /// its gradient is zero, so for any finite, non-negative learning rate
+    /// the update `v ← v − γ · 0` would leave it bit-identical anyway.
+    /// Lanes past the last row of a partial block compute on zero logits
+    /// and are never written back. Every row ends bit-identical to running
+    /// [`FlatKernel::fused_gd_step`] on it the same number of times.
     ///
     /// Returns each lane's loss from the last iteration run (zero when none
     /// ran).
@@ -302,7 +361,8 @@ impl FlatKernel {
     /// # Panics
     ///
     /// Panics if `rows` is not a whole number of rows of
-    /// [`FlatKernel::num_inputs`] logits, or holds more than `L` of them.
+    /// [`FlatKernel::num_inputs`] logits, or holds more than `L` of them,
+    /// or if `ws` is too small for this kernel's descent.
     pub fn fused_gd_block<const L: usize>(
         &self,
         rows: &mut [f32],
@@ -311,13 +371,13 @@ impl FlatKernel {
         stopped: impl Fn() -> bool,
         ws: &mut Workspace<L>,
     ) -> [f64; L] {
-        self.check_workspace(ws);
         let n = self.num_inputs;
         assert!(
             rows.len() <= L * n && rows.len().is_multiple_of(n),
             "a block holds at most {L} whole rows of {n} logits, got {} values",
             rows.len()
         );
+        let (payload, columns) = (&self.descend_payload, &self.descend_columns);
         let Workspace {
             logits,
             probs,
@@ -327,13 +387,16 @@ impl FlatKernel {
             fanin_p,
             fanin_g,
         } = ws;
+        let logits = &mut logits[..columns.len()];
+        let probs = &mut probs[..columns.len()];
+        let grad_inputs = &mut grad_inputs[..columns.len()];
         if rows.len() < L * n {
             logits.fill([0.0; L]);
         }
         // `max(1)`: a kernel without inputs has no rows to move.
         for (lane, row) in rows.chunks_exact(n.max(1)).enumerate() {
-            for (v, &x) in logits.iter_mut().zip(row) {
-                v[lane] = x;
+            for (v, &col) in logits.iter_mut().zip(columns) {
+                v[lane] = row[col as usize];
             }
         }
         let mut loss = [0.0; L];
@@ -344,8 +407,8 @@ impl FlatKernel {
             for (p, v) in probs.iter_mut().zip(logits.iter()) {
                 *p = v.map(ops::embed_logit);
             }
-            self.forward_lanes(probs, acts);
-            loss = self.backward_lanes(acts, node_grad, grad_inputs, fanin_p, fanin_g);
+            self.forward_lanes(payload, probs, acts);
+            loss = self.backward_lanes(payload, acts, node_grad, grad_inputs, fanin_p, fanin_g);
             for ((v, g), p) in logits.iter_mut().zip(grad_inputs.iter()).zip(probs.iter()) {
                 for l in 0..L {
                     v[l] -= learning_rate * (g[l] * ops::sigmoid_grad_from_output(p[l]));
@@ -353,25 +416,30 @@ impl FlatKernel {
             }
         }
         for (lane, row) in rows.chunks_exact_mut(n.max(1)).enumerate() {
-            for (x, v) in row.iter_mut().zip(logits.iter()) {
-                *x = v[lane];
+            for (v, &col) in logits.iter().zip(columns) {
+                row[col as usize] = v[lane];
             }
         }
         loss
     }
 
-    /// Forward pass writing every node activation into `acts`, `L` rows at
-    /// a time.
+    /// Forward pass over the first `payload.len()` nodes, writing their
+    /// activations into `acts`, `L` rows at a time; an input node reads
+    /// `inputs[payload[i]]`.
     ///
     /// Replicates `SoftCircuit::forward_single` in every lane: the same
     /// `ops::` rule per gate, the n-ary folds in fan-in order (product from
     /// `1.0`, XOR from `0.0`). The slice lengths are pinned to the node
     /// count up front so the optimiser can hoist the per-node bounds checks
     /// out of the loop.
-    fn forward_lanes<const L: usize>(&self, inputs: &[[f32; L]], acts: &mut [[f32; L]]) {
-        let n = self.opcodes.len();
+    fn forward_lanes<const L: usize>(
+        &self,
+        payload: &[u32],
+        inputs: &[[f32; L]],
+        acts: &mut [[f32; L]],
+    ) {
+        let n = payload.len();
         let opcodes = &self.opcodes[..n];
-        let payload = &self.payload[..n];
         let offsets = &self.offsets[..n + 1];
         let acts = &mut acts[..n];
         let mut lo = 0usize;
@@ -459,8 +527,10 @@ impl FlatKernel {
         }
     }
 
-    /// Reverse pass from the constrained outputs to `grad_inputs`, `L` rows
-    /// at a time, returning each lane's summed ℓ2 loss.
+    /// Reverse pass from the constrained outputs to `grad_inputs` over the
+    /// first `payload.len()` nodes (which must hold every output), `L` rows
+    /// at a time, returning each lane's summed ℓ2 loss; an input node adds
+    /// into `grad_inputs[payload[i]]`.
     ///
     /// Replicates the reverse sweep of `SoftCircuit::loss_and_grad_single`
     /// in every lane: same special cases, same prefix/suffix gradient
@@ -470,12 +540,15 @@ impl FlatKernel {
     /// a zero gradient untouched ([`add_where_live`]).
     fn backward_lanes<const L: usize>(
         &self,
+        payload: &[u32],
         acts: &[[f32; L]],
         node_grad: &mut [[f32; L]],
         grad_inputs: &mut [[f32; L]],
         fanin_p: &mut [[f32; L]],
         fanin_g: &mut [[f32; L]],
     ) -> [f64; L] {
+        let n = payload.len();
+        let node_grad = &mut node_grad[..n];
         node_grad.fill([0.0; L]);
         let mut loss = [0.0f64; L];
         for &(node, target) in &self.outputs {
@@ -487,11 +560,8 @@ impl FlatKernel {
             }
         }
         grad_inputs.fill([0.0; L]);
-        let n = self.opcodes.len();
         let opcodes = &self.opcodes[..n];
-        let payload = &self.payload[..n];
         let offsets = &self.offsets[..n + 1];
-        let node_grad = &mut node_grad[..n];
         for i in (0..n).rev() {
             let g = node_grad[i];
             if g.iter().fold(true, |dead, &x| dead & (x == 0.0)) {
@@ -539,7 +609,9 @@ impl FlatKernel {
                 add_where_live(&mut node_grad[f1], &g, |a, g, l| a + sign * g * g1[l]);
                 continue;
             }
-            for (slot, &f) in fanin_p.iter_mut().zip(fanin) {
+            // Sliced to the fan-in first: scratch too short for it panics
+            // rather than truncating the gather.
+            for (slot, &f) in fanin_p[..fanin.len()].iter_mut().zip(fanin) {
                 *slot = acts[f as usize];
             }
             let ps = &fanin_p[..fanin.len()];
@@ -804,6 +876,90 @@ mod tests {
         assert_eq!(kernel.max_fanin(), c.max_fanin());
         assert_eq!(kernel.num_outputs(), c.outputs().len());
         assert!(kernel.workspace().bytes() > 0);
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_circuit_without_outputs_descends_nothing() {
+        let mut c = SoftCircuit::new(2);
+        let a = c.input(0);
+        let b = c.input(1);
+        c.gate(SoftGate::Nand, vec![a, b]);
+        let kernel = FlatKernel::compile(&c);
+        assert_eq!((kernel.descend_nodes(), kernel.descend_inputs()), (0, 0));
+        let mut rows = [1.5f32, -0.0, f32::NAN, -3.25, 0.0, f32::INFINITY];
+        let before = rows;
+        let mut ws = kernel.lane_workspace::<LANES>();
+        let loss = kernel.fused_gd_block(&mut rows, 10.0, 5, || false, &mut ws);
+        assert_eq!(loss, [0.0; LANES]);
+        assert_eq!(bits(&rows), bits(&before));
+        let mut grad = [7.0f32; 2];
+        let loss = kernel.loss_and_grad(&[0.3, 0.9], &mut grad, &mut kernel.workspace());
+        assert_eq!((loss, grad), (0.0, [0.0; 2]));
+    }
+
+    #[test]
+    fn a_whole_cone_prefix_covers_every_node() {
+        // The last node is constrained, so the prefix is the whole circuit.
+        let c = all_gates_circuit();
+        let kernel = FlatKernel::compile(&c);
+        assert_eq!(kernel.descend_nodes(), kernel.num_nodes());
+        assert_eq!(kernel.descend_inputs(), kernel.num_inputs());
+        let block = kernel.lane_workspace::<LANES>().bytes();
+        assert_eq!(block, LANES * kernel.workspace().bytes());
+    }
+
+    #[test]
+    fn a_block_on_a_partial_cone_leaves_out_of_cone_logits_bit_identical() {
+        // Columns 0–2 feed the constrained output; columns 3 and 4 are read
+        // only after it, outside the descend prefix.
+        let mut c = SoftCircuit::new(5);
+        let a = c.input(0);
+        let b = c.input(1);
+        let x = c.input(2);
+        let and = c.gate(SoftGate::And, vec![a, b]);
+        let out = c.gate(SoftGate::Xor, vec![and, x]);
+        c.constrain(out, 1.0);
+        let y = c.input(3);
+        let z = c.input(4);
+        c.gate(SoftGate::Or, vec![y, z, out]);
+        let kernel = FlatKernel::compile(&c);
+        assert_eq!((kernel.descend_nodes(), kernel.descend_inputs()), (5, 3));
+
+        // A partial block; the out-of-cone columns hold a signed zero and
+        // a NaN.
+        let rows = LANES - 1;
+        let mut block: Vec<f32> = (0..rows * 5)
+            .map(|i| match i % 5 {
+                3 => -0.0,
+                4 => f32::NAN,
+                _ => (i as f32 * 0.37).sin() * 3.0,
+            })
+            .collect();
+        let before = block.clone();
+        let (learning_rate, iterations) = (10.0, 5);
+        let mut ws = kernel.lane_workspace::<LANES>();
+        kernel.fused_gd_block(&mut block, learning_rate, iterations, || false, &mut ws);
+        for (r, (after, before)) in block.chunks(5).zip(before.chunks(5)).enumerate() {
+            assert_eq!(bits(&after[3..]), bits(&before[3..]), "row {r}");
+            // The cone columns descend as the reference composition does.
+            let mut cone = before[..3].to_vec();
+            let mut grad = [0.0f32; 5];
+            for _ in 0..iterations {
+                let probs: Vec<f32> = (0..5)
+                    .map(|col| ops::embed_logit(cone.get(col).copied().unwrap_or(0.0)))
+                    .collect();
+                c.loss_and_grad_single(&probs, &mut grad);
+                for ((v, &g), &p) in cone.iter_mut().zip(&grad).zip(&probs) {
+                    *v -= learning_rate * (g * ops::sigmoid_grad_from_output(p));
+                }
+            }
+            assert_eq!(bits(&after[..3]), bits(&cone), "row {r}");
+            assert_ne!(bits(&after[..3]), bits(&before[..3]), "row {r} descended");
+        }
     }
 
     #[test]

@@ -113,12 +113,6 @@ impl BatchMatrix {
         &mut self.data
     }
 
-    /// Splits the buffer into non-overlapping mutable rows, convenient for
-    /// data-parallel iteration.
-    pub fn rows_mut(&mut self) -> std::slice::ChunksMut<'_, f32> {
-        self.data.chunks_mut(self.width)
-    }
-
     /// Immutable row iterator.
     pub fn rows(&self) -> std::slice::Chunks<'_, f32> {
         self.data.chunks(self.width)

@@ -13,7 +13,8 @@
 //!   worker owns one [`Workspace`](crate::Workspace) per parallel region
 //!   (logits, probabilities, input gradients, node activations, node
 //!   gradients and fan-in scratch, each `lanes` values wide), reused for
-//!   every row or block it claims.
+//!   every row or block it claims. The fused kernel's workspace holds only
+//!   the descend prefix's nodes and the input columns it reads.
 //!
 //! This is the key difference from a GPU resident-activation model (and
 //! from this crate's pre-flat-kernel execution model): activations cost
@@ -25,7 +26,13 @@
 pub struct MemoryModel {
     /// Number of learnable input columns.
     pub num_inputs: usize,
-    /// Number of circuit nodes.
+    /// Input columns each workspace holds: all of them, or for the fused
+    /// kernel only those its descent reads
+    /// ([`FlatKernel::descend_inputs`](crate::FlatKernel::descend_inputs)).
+    pub workspace_inputs: usize,
+    /// Circuit nodes each workspace holds: all of them, or for the fused
+    /// kernel the descend prefix
+    /// ([`FlatKernel::descend_nodes`](crate::FlatKernel::descend_nodes)).
     pub num_nodes: usize,
     /// Batch size.
     pub batch: usize,
@@ -46,14 +53,16 @@ pub struct MemoryModel {
 }
 
 impl MemoryModel {
-    /// Creates a model for a circuit of `num_nodes` nodes with `num_inputs`
-    /// learnable inputs at the given batch size, assuming one worker, no
-    /// fan-in scratch and one-row workspaces. Refine with
-    /// [`MemoryModel::with_workers`], [`MemoryModel::with_max_fanin`] and
-    /// [`MemoryModel::with_lanes`].
+    /// Creates a model for workspaces of `num_nodes` nodes over
+    /// `num_inputs` learnable inputs at the given batch size, assuming one
+    /// worker, no fan-in scratch, one-row workspaces and every input held
+    /// in each workspace. Refine with [`MemoryModel::with_workers`],
+    /// [`MemoryModel::with_max_fanin`], [`MemoryModel::with_lanes`] and
+    /// [`MemoryModel::with_workspace_inputs`].
     pub fn new(num_inputs: usize, num_nodes: usize, batch: usize) -> Self {
         MemoryModel {
             num_inputs,
+            workspace_inputs: num_inputs,
             num_nodes,
             batch,
             workers: 1,
@@ -84,6 +93,13 @@ impl MemoryModel {
         self
     }
 
+    /// Sets how many input columns each workspace holds.
+    #[must_use]
+    pub fn with_workspace_inputs(mut self, workspace_inputs: usize) -> Self {
+        self.workspace_inputs = workspace_inputs;
+        self
+    }
+
     /// Sets how many extra `[batch, inputs]` matrices the execution form
     /// keeps resident (0 = fused flat kernel, 2 = staged batched pass).
     #[must_use]
@@ -106,14 +122,14 @@ impl MemoryModel {
     }
 
     /// Bytes used by the per-worker workspaces: per worker and lane, three
-    /// input-width buffers (logits, probabilities and input gradients), two
-    /// node-width buffers (activations and node gradients) and two fan-in
-    /// gather buffers, all f32 — independent of the batch size. Equal to
-    /// [`Workspace::bytes`](crate::Workspace::bytes) of each worker's
-    /// workspace.
+    /// buffers of `workspace_inputs` (logits, probabilities and input
+    /// gradients), two of `num_nodes` (activations and node gradients) and
+    /// two fan-in gather buffers, all f32 — independent of the batch size.
+    /// Equal to [`Workspace::bytes`](crate::Workspace::bytes) of each
+    /// worker's workspace.
     pub fn workspace_bytes(&self) -> u64 {
         let per_lane =
-            3 * self.num_inputs as u64 + 2 * (self.num_nodes as u64 + self.max_fanin as u64);
+            3 * self.workspace_inputs as u64 + 2 * (self.num_nodes as u64 + self.max_fanin as u64);
         self.workers as u64 * self.lanes as u64 * per_lane * 4
     }
 
@@ -159,6 +175,14 @@ mod tests {
         let small = MemoryModel::new(100, 1_000, 1_000);
         let large = MemoryModel::new(100, 50_000, 1_000);
         assert!(large.total_bytes() > small.total_bytes());
+    }
+
+    #[test]
+    fn workspace_inputs_shrink_only_the_workspaces() {
+        let all = MemoryModel::new(100, 1000, 64);
+        let cone = all.with_workspace_inputs(40);
+        assert_eq!(all.workspace_bytes() - cone.workspace_bytes(), 3 * 60 * 4);
+        assert_eq!(cone.persistent_bytes(), all.persistent_bytes());
     }
 
     #[test]
