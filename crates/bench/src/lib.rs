@@ -34,7 +34,7 @@ pub mod cli;
 pub mod harness;
 
 use htsat_baselines::engine_by_name;
-use htsat_cnf::Cnf;
+use htsat_cnf::{Cnf, Solution};
 use htsat_core::compile::{self, CompiledCircuit};
 use htsat_core::{
     transform, GdSampler, PreparedFormula, SampleEngine, SamplerConfig, SessionConfig,
@@ -640,11 +640,7 @@ fn drive_wire_legs(
             ..SamplerConfig::default()
         };
         let mut reference = GdSampler::new(&instance.cnf, config).expect("reference sampler");
-        let expected: Vec<Vec<bool>> = reference
-            .stream()
-            .take(options.target)
-            .map(|s| s.to_bits())
-            .collect();
+        let expected: Vec<Solution> = reference.stream().take(options.target).collect();
 
         let started = Instant::now();
         let reply = client
@@ -669,11 +665,10 @@ fn drive_wire_legs(
     let walksat_n = options.target.min(16);
     let walksat = engine_by_name("walksat", &instance.cnf, &TransformConfig::default())
         .expect("walksat engine");
-    let expected: Vec<Vec<bool>> = walksat
+    let expected: Vec<Solution> = walksat
         .stream(&SessionConfig::with_seed(seed))
         .expect("walksat stream")
         .take(walksat_n)
-        .map(|s| s.to_bits())
         .collect();
     let started = Instant::now();
     let load = client
@@ -701,7 +696,7 @@ fn drive_wire_legs(
     // determinism (or much latency).
     client.hello().expect("protocol v2 negotiation");
     let pipelined_n = options.target.min(32);
-    let references: Vec<Vec<Vec<bool>>> = (0..2u64)
+    let references: Vec<Vec<Solution>> = (0..2u64)
         .map(|lane| {
             let config = SamplerConfig {
                 seed: seed + 1 + lane,
@@ -710,15 +705,11 @@ fn drive_wire_legs(
             };
             let mut reference =
                 GdSampler::new(&instance.cnf, config).expect("pipelined reference sampler");
-            reference
-                .stream()
-                .take(pipelined_n)
-                .map(|s| s.to_bits())
-                .collect()
+            reference.stream().take(pipelined_n).collect()
         })
         .collect();
     let started = Instant::now();
-    let mut lanes: Vec<(u64, Vec<Vec<bool>>, bool)> = (0..2u64)
+    let mut lanes: Vec<(u64, Vec<Solution>, bool)> = (0..2u64)
         .map(|lane| {
             let id = client
                 .sample_start(&SampleParams {

@@ -81,12 +81,39 @@ impl Solution {
         self.words[index / WORD_BITS] >> (index % WORD_BITS) & 1 == 1
     }
 
-    /// Unpacks into one `bool` per variable.
+    /// Unpacks into one `bool` per variable: eight at a time by table
+    /// lookup for each whole word, then the bits of a partial last word.
     #[must_use]
     pub fn to_bits(&self) -> Vec<bool> {
-        (0..self.len).map(|i| self.get(i)).collect()
+        let mut bits = Vec::with_capacity(self.len);
+        let whole = self.len / WORD_BITS;
+        for word in &self.words[..whole] {
+            for byte in word.to_le_bytes() {
+                bits.extend_from_slice(&BYTE_BITS[usize::from(byte)]);
+            }
+        }
+        if let Some(&last) = self.words.get(whole) {
+            bits.extend((0..self.len % WORD_BITS).map(|bit| last >> bit & 1 == 1));
+        }
+        bits
     }
 }
+
+/// The values of every byte of a packed word: entry `b` holds bit `i` of
+/// `b` at index `i`.
+const BYTE_BITS: [[bool; 8]; 256] = {
+    let mut table = [[false; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut bit = 0;
+        while bit < 8 {
+            table[byte][bit] = byte >> bit & 1 == 1;
+            bit += 1;
+        }
+        byte += 1;
+    }
+    table
+};
 
 /// Transposes a 64×64 bit matrix in place: afterwards bit `j` of word `i`
 /// is what bit `i` of word `j` was. Six rounds swap ever smaller

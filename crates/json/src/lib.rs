@@ -176,6 +176,7 @@ impl Json {
     /// Parses a complete JSON document; trailing non-whitespace is an error.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -225,20 +226,52 @@ impl From<f64> for Json {
     }
 }
 
+/// Whether `byte` must be escaped inside a JSON string. Every such byte is
+/// ASCII, so the runs between them are whole UTF-8 sequences.
+fn needs_escape(byte: u8) -> bool {
+    byte == b'"' || byte == b'\\' || byte < 0x20
+}
+
+/// Bytes tested per branch while scanning a string: the test of a whole
+/// block has no early exit, so it compiles to a few vector instructions.
+const SCAN_BLOCK: usize = 32;
+
+/// The length of the longest prefix of `bytes` that needs no escape.
+fn escape_free_len(bytes: &[u8]) -> usize {
+    let clean_blocks = bytes
+        .chunks(SCAN_BLOCK)
+        .take_while(|block| !block.iter().fold(false, |any, &b| any | needs_escape(b)))
+        .count();
+    let start = (clean_blocks * SCAN_BLOCK).min(bytes.len());
+    bytes[start..]
+        .iter()
+        .position(|&b| needs_escape(b))
+        .map_or(bytes.len(), |offset| start + offset)
+}
+
+/// Writes `s` as a quoted JSON string, copying each run of bytes that need
+/// no escape with one `push_str`.
 fn write_escaped(s: &str, out: &mut String) {
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut rest = s;
+    loop {
+        let run = escape_free_len(rest.as_bytes());
+        out.push_str(&rest[..run]);
+        let Some(&byte) = rest.as_bytes().get(run) else {
+            break;
+        };
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0c => out.push_str("\\f"),
+            _ => out.push_str(&format!("\\u{byte:04x}")),
         }
+        rest = &rest[run + 1..];
     }
     out.push('"');
 }
@@ -261,6 +294,8 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    /// The document; every slice between ASCII delimiters is valid UTF-8.
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -322,29 +357,59 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Scans one number by the JSON grammar — `-? (0 | [1-9][0-9]*)
+    /// (.[0-9]+)? ([eE][+-]?[0-9]+)?` — and converts it with `f64::parse`,
+    /// which on its own would also accept `01`, `-.5` and `1.`.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number bytes"))?;
-        text.parse::<f64>().map(Json::Num).map_err(|_| JsonError {
-            message: format!("invalid number `{text}`"),
+        let invalid = |p: &Parser<'_>| JsonError {
+            message: format!("invalid number `{}`", &p.input[start..p.pos]),
             offset: start,
-        })
+        };
+        self.eat(b'-');
+        if !self.eat(b'0') && self.digits() == 0 {
+            return Err(invalid(self));
+        }
+        if self.eat(b'.') && self.digits() == 0 {
+            return Err(invalid(self));
+        }
+        if self.eat(b'e') || self.eat(b'E') {
+            let _ = self.eat(b'+') || self.eat(b'-');
+            if self.digits() == 0 {
+                return Err(invalid(self));
+            }
+        }
+        self.input[start..self.pos]
+            .parse::<f64>()
+            .map(Json::Num)
+            .map_err(|_| invalid(self))
     }
 
+    /// Consumes `b` if it is next.
+    fn eat(&mut self, b: u8) -> bool {
+        let next = self.peek() == Some(b);
+        self.pos += usize::from(next);
+        next
+    }
+
+    /// Consumes a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// Parses a string, copying each run of bytes without an escape with
+    /// one `push_str`: the delimiters are ASCII, so a run is whole UTF-8.
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let run = self.pos;
+            self.pos += escape_free_len(&self.bytes[run..]);
+            out.push_str(&self.input[run..self.pos]);
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
@@ -394,32 +459,22 @@ impl<'a> Parser<'a> {
                     }
                 }
                 // Raw control characters are invalid inside JSON strings.
-                b if b < 0x20 => return Err(self.err("control character in string")),
-                b if b < 0x80 => out.push(b as char),
-                _ => {
-                    // Multi-byte UTF-8: re-decode from the byte before pos.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b).ok_or_else(|| self.err("invalid UTF-8"))?;
-                    let end = start + len;
-                    let slice = self
-                        .bytes
-                        .get(start..end)
-                        .ok_or_else(|| self.err("truncated UTF-8"))?;
-                    let s = std::str::from_utf8(slice).map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
+                _ => return Err(self.err("control character in string")),
             }
         }
     }
 
+    /// Parses the four hex digits of a `\u` escape. Each must be an ASCII
+    /// hex digit: `u32::from_str_radix` would also take a sign (`\u+041`).
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        let slice = self
+        let digits = self
             .bytes
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let text = std::str::from_utf8(slice).map_err(|_| self.err("invalid \\u escape"))?;
-        let value = u32::from_str_radix(text, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        let value = digits
+            .iter()
+            .try_fold(0, |acc, &b| Some(acc << 4 | char::from(b).to_digit(16)?))
+            .ok_or_else(|| self.err("invalid \\u escape"))?;
         self.pos += 4;
         Ok(value)
     }
@@ -473,15 +528,6 @@ impl<'a> Parser<'a> {
                 _ => return Err(self.err("expected `,` or `}`")),
             }
         }
-    }
-}
-
-fn utf8_len(first: u8) -> Option<usize> {
-    match first {
-        0xc0..=0xdf => Some(2),
-        0xe0..=0xef => Some(3),
-        0xf0..=0xf7 => Some(4),
-        _ => None,
     }
 }
 
@@ -564,6 +610,18 @@ mod tests {
             "\"unterminated",
             "{\"a\" 1}",
             "\u{7f}",
+            r#""\u+041""#,
+            r#""\u 041""#,
+            "01",
+            "-01",
+            "-.5",
+            ".5",
+            "1.",
+            "1.e3",
+            "1e",
+            "1e+",
+            "-",
+            "[1.]",
         ] {
             assert!(Json::parse(bad).is_err(), "should reject {bad:?}");
         }

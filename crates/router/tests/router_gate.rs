@@ -7,7 +7,7 @@
 //! Every test runs a real router fronting real daemons that join via the
 //! wire `REGISTER` heartbeat, all sharing one on-disk compile cache.
 
-use htsat_cnf::dimacs;
+use htsat_cnf::{dimacs, Solution};
 use htsat_core::{GdSampler, SamplerConfig};
 use htsat_instances::families;
 use htsat_router::{route, RouterConfig, RouterHandle};
@@ -61,18 +61,18 @@ fn wait_for_backends(router: &RouterHandle, n: usize) {
 }
 
 /// The in-process stream the routed one must match bit for bit.
-fn reference(cnf: &htsat_cnf::Cnf, seed: u64, threads: usize, n: usize) -> Vec<Vec<bool>> {
+fn reference(cnf: &htsat_cnf::Cnf, seed: u64, threads: usize, n: usize) -> Vec<Solution> {
     let config = SamplerConfig {
         seed,
         backend: Backend::Threads(threads),
         ..SamplerConfig::default()
     };
     let mut sampler = GdSampler::new(cnf, config).expect("reference sampler");
-    sampler.stream().take(n).map(|s| s.to_bits()).collect()
+    sampler.stream().take(n).collect()
 }
 
 /// Drains one chunked stream to completion.
-fn drain(client: &mut Client, id: u64) -> Vec<Vec<bool>> {
+fn drain(client: &mut Client, id: u64) -> Vec<Solution> {
     let mut solutions = Vec::new();
     loop {
         match client.sample_next(id).expect("stream frame") {
@@ -127,7 +127,7 @@ fn routed_streams_are_bit_identical_at_one_and_eight_threads() {
                     .expect("start stream")
             })
             .collect();
-        let mut reassembled = vec![Vec::new(); ids.len()];
+        let mut reassembled: Vec<Vec<Solution>> = vec![Vec::new(); ids.len()];
         let mut open = vec![true; ids.len()];
         while open.iter().any(|o| *o) {
             for (lane, &id) in ids.iter().enumerate() {
@@ -389,13 +389,13 @@ fn v1_clients_route_transparently() {
     ));
     assert_eq!(sample.get("ok").and_then(Json::as_bool), Some(true));
     assert!(sample.get("frame").is_none());
-    let solutions: Vec<Vec<bool>> = sample
+    let solutions: Vec<Solution> = sample
         .get("solutions")
         .and_then(Json::as_arr)
         .expect("solutions")
         .iter()
         .map(|row| {
-            htsat_serve::proto::decode_solution(row.as_str().expect("bit string"))
+            htsat_serve::proto::decode_packed(row.as_str().expect("bit string"))
                 .expect("decode solution")
         })
         .collect();

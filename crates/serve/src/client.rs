@@ -13,10 +13,10 @@
 
 use crate::json::{Json, JsonError};
 use crate::proto::{
-    decode_solution, decode_stats, encode_u64_exact, request_id, LoadSource, Request, SampleParams,
+    decode_packed, decode_stats, encode_u64_exact, request_id, LoadSource, Request, SampleParams,
     SubscribeParams, PROTOCOL_V2,
 };
-use htsat_cnf::Fingerprint;
+use htsat_cnf::{Fingerprint, Solution};
 use htsat_obs::{TraceId, TraceReport};
 use htsat_runtime::StreamStats;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -181,7 +181,7 @@ pub struct LoadReply {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampleReply {
     /// Unique satisfying assignments, in stream order.
-    pub solutions: Vec<Vec<bool>>,
+    pub solutions: Vec<Solution>,
     /// The request's stream statistics.
     pub stats: StreamStats,
     /// Server-side wall-clock of the stream, in milliseconds.
@@ -207,7 +207,7 @@ pub struct SampleDone {
 #[derive(Debug, Clone, PartialEq)]
 pub enum SampleEvent {
     /// An incremental batch of unique solutions, in stream order.
-    Batch(Vec<Vec<bool>>),
+    Batch(Vec<Solution>),
     /// The terminal frame: the stream is complete.
     Done(SampleDone),
 }
@@ -222,7 +222,7 @@ pub enum SubEvent {
         /// Feed-global batch sequence number.
         seq: u64,
         /// The batch's unique solutions.
-        solutions: Vec<Vec<bool>>,
+        solutions: Vec<Solution>,
     },
     /// The feed ended (trajectory exhausted): per-seat delivery counts and
     /// the shared stream's statistics.
@@ -987,8 +987,9 @@ impl Client {
     }
 }
 
-/// Decodes a frame/reply's `solutions` array of bit strings.
-fn decode_solution_array(msg: &Json) -> Result<Vec<Vec<bool>>, ClientError> {
+/// Decodes a frame/reply's `solutions` array of bit strings straight into
+/// packed solutions.
+fn decode_solution_array(msg: &Json) -> Result<Vec<Solution>, ClientError> {
     msg.get("solutions")
         .and_then(Json::as_arr)
         .ok_or_else(|| ClientError::Protocol("message without solutions".to_string()))?
@@ -997,7 +998,7 @@ fn decode_solution_array(msg: &Json) -> Result<Vec<Vec<bool>>, ClientError> {
             s.as_str()
                 .ok_or_else(|| ClientError::Protocol("non-string solution".to_string()))
                 .and_then(|text| {
-                    decode_solution(text).map_err(|e| ClientError::Protocol(e.to_string()))
+                    decode_packed(text).map_err(|e| ClientError::Protocol(e.to_string()))
                 })
         })
         .collect()
@@ -1028,7 +1029,7 @@ impl SampleStream<'_> {
 }
 
 impl Iterator for SampleStream<'_> {
-    type Item = Result<Vec<Vec<bool>>, ClientError>;
+    type Item = Result<Vec<Solution>, ClientError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.done.is_some() || self.failed {

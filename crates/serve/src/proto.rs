@@ -115,7 +115,7 @@
 //! base64 machinery.
 
 use crate::json::Json;
-use htsat_cnf::{Fingerprint, Solution};
+use htsat_cnf::{Fingerprint, Solution, WORD_BITS};
 use htsat_obs::TraceId;
 use htsat_runtime::StreamStats;
 
@@ -1008,19 +1008,71 @@ pub(crate) fn encode_packed(solution: &Solution) -> String {
     String::from_utf8(text).expect("the table holds only ASCII digits")
 }
 
-/// Decodes a wire bit string back into a solution bit-vector.
+/// A step of eight wire digits, read as one little-endian `u64`, equals
+/// this once the low bit of every byte is cleared — exactly when each byte
+/// is `'0'` or `'1'`.
+const ZEROS: u64 = u64::from_le_bytes([b'0'; 8]);
+
+/// The low bit of every byte: the eight values of a step.
+const LOW_BITS: u64 = u64::from_le_bytes([1; 8]);
+
+/// Multiplying the low bits of a step by this moves bit 0 of byte `i` to
+/// bit `56 + i`. Every (bit, term) product lands on its own position, so
+/// nothing carries and the top byte holds the step's eight values.
+const GATHER: u64 = 0x0102_0408_1020_4080;
+
+/// Decodes the 64 wire digits of one packed word, eight per step: each
+/// step is validated as one `u64` and its bits gathered with one multiply.
+/// `None` unless every byte is `'0'` or `'1'`.
+fn decode_word(digits: &[u8; WORD_BITS]) -> Option<u64> {
+    let mut word = 0;
+    let mut invalid = 0;
+    for (step, lane) in digits.chunks_exact(8).enumerate() {
+        let lane = u64::from_le_bytes(lane.try_into().expect("a step is eight bytes"));
+        invalid |= (lane & !LOW_BITS) ^ ZEROS;
+        word |= ((lane & LOW_BITS).wrapping_mul(GATHER) >> 56) << (step * 8);
+    }
+    (invalid == 0).then_some(word)
+}
+
+/// Decodes a wire bit string straight into a packed [`Solution`], one word
+/// of 64 digits at a time, eight digits per step: each step is validated
+/// as one `u64` and its bits gathered with one multiply. The last, partial
+/// word is padded with `'0'`s.
+///
+/// # Errors
+///
+/// Returns a [`ProtoError`] naming the first character other than
+/// `'0'`/`'1'`.
+pub fn decode_packed(text: &str) -> Result<Solution, ProtoError> {
+    let full = text.as_bytes().chunks_exact(WORD_BITS);
+    let mut padded = [b'0'; WORD_BITS];
+    padded[..full.remainder().len()].copy_from_slice(full.remainder());
+    let tail = (!full.remainder().is_empty()).then_some(&padded);
+    let mut words = Vec::with_capacity(text.len().div_ceil(WORD_BITS));
+    let blocks = full.map(|digits| digits.try_into().expect("a word is 64 bytes"));
+    for (index, digits) in blocks.chain(tail).enumerate() {
+        let Some(word) = decode_word(digits) else {
+            // Every earlier word was ASCII, so this one starts a character.
+            let bad = text[index * WORD_BITS..]
+                .chars()
+                .find(|c| !matches!(c, '0' | '1'))
+                .expect("a word that fails validation holds a non-digit");
+            return Err(ProtoError(format!("invalid solution bit `{bad}`")));
+        };
+        words.push(word);
+    }
+    Ok(Solution::from_words(words.into_boxed_slice(), text.len()))
+}
+
+/// Decodes a wire bit string into a solution bit-vector (through
+/// [`decode_packed`]).
 ///
 /// # Errors
 ///
 /// Returns a [`ProtoError`] on characters other than `'0'`/`'1'`.
 pub fn decode_solution(text: &str) -> Result<Vec<bool>, ProtoError> {
-    text.chars()
-        .map(|c| match c {
-            '0' => Ok(false),
-            '1' => Ok(true),
-            other => Err(ProtoError(format!("invalid solution bit `{other}`"))),
-        })
-        .collect()
+    decode_packed(text).map(|solution| solution.to_bits())
 }
 
 /// Encodes [`StreamStats`] as a JSON object using the stable
@@ -1222,6 +1274,57 @@ mod tests {
         }
     }
 
+    /// The character-at-a-time decoder [`decode_packed`] replaced; its
+    /// results and error text are what the packed decoder must give.
+    fn reference_decode(text: &str) -> Result<Vec<bool>, ProtoError> {
+        text.chars()
+            .map(|c| match c {
+                '0' => Ok(false),
+                '1' => Ok(true),
+                other => Err(ProtoError(format!("invalid solution bit `{other}`"))),
+            })
+            .collect()
+    }
+
+    /// Characters a corrupted bit string may hold: ASCII neighbours of the
+    /// digits, whitespace, NUL, and two-, three- and four-byte UTF-8.
+    const BAD_CHARS: [&str; 9] = ["2", "/", "x", " ", "\0", "é", "✓", "😀", "\u{7f}"];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn packed_decode_inverts_the_encoder_and_reports_the_old_errors(
+            seed in proptest::prelude::any::<u64>(),
+            at in proptest::prelude::any::<usize>(),
+            bad in 0..BAD_CHARS.len(),
+        ) {
+            // Empty, one bit, both sides of the step and word boundaries, an
+            // odd length past the first word, and paper scale.
+            for len in [0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 625, 10_600] {
+                let bits: Vec<bool> = (0..len).map(|i| derive_bit(seed, i)).collect();
+                let text = encode_solution(&bits);
+                let decoded = decode_packed(&text).expect("decodes");
+                proptest::prop_assert_eq!(&decoded, &Solution::from_bits(&bits));
+                if len % WORD_BITS != 0 {
+                    let last = decoded.words().last().expect("a partial word");
+                    proptest::prop_assert_eq!(last >> (len % WORD_BITS), 0, "padding is zero");
+                }
+                proptest::prop_assert_eq!(decode_solution(&text).expect("decodes"), bits);
+                for position in [0, at % len.max(1), len.saturating_sub(1)] {
+                    if position >= len {
+                        continue;
+                    }
+                    let mut broken = text.clone();
+                    broken.replace_range(position..=position, BAD_CHARS[bad]);
+                    let want = reference_decode(&broken).expect_err("one bad character");
+                    proptest::prop_assert_eq!(decode_packed(&broken).expect_err("bad"), want.clone());
+                    proptest::prop_assert_eq!(decode_solution(&broken).expect_err("bad"), want);
+                }
+            }
+        }
+    }
+
     /// Bit `i` of a SplitMix64 stream seeded with `seed`.
     fn derive_bit(seed: u64, i: usize) -> bool {
         let mut z = seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -1245,6 +1348,16 @@ mod tests {
         assert_eq!(text, "10011");
         assert_eq!(decode_solution(&text).expect("decodes"), bits);
         assert!(decode_solution("01x").is_err());
+        // Multi-byte characters past the first step and past the first word.
+        for (text, bad) in [
+            ("0101010101é".to_string(), 'é'),
+            ("0".repeat(100) + "✓1", '✓'),
+        ] {
+            assert_eq!(
+                decode_packed(&text).expect_err("not a digit"),
+                ProtoError(format!("invalid solution bit `{bad}`"))
+            );
+        }
     }
 
     #[test]

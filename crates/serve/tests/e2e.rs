@@ -7,7 +7,7 @@
 //! at 1 and at 8 worker threads.
 
 use htsat_baselines::{engine_by_name, ENGINE_NAMES};
-use htsat_cnf::dimacs;
+use htsat_cnf::{dimacs, Solution};
 use htsat_core::{GdSampler, SamplerConfig, SessionConfig, TransformConfig};
 use htsat_instances::families;
 use htsat_serve::json::Json;
@@ -49,7 +49,7 @@ fn wire_determinism_matches_in_process_stream_at_1_and_8_threads() {
             ..SamplerConfig::default()
         };
         let mut reference = GdSampler::new(&cnf, config).expect("build sampler");
-        let expected: Vec<Vec<bool>> = reference.stream().take(N).map(|s| s.to_bits()).collect();
+        let expected: Vec<Solution> = reference.stream().take(N).collect();
         assert_eq!(expected.len(), N, "reference found enough solutions");
 
         let reply = client
@@ -65,7 +65,7 @@ fn wire_determinism_matches_in_process_stream_at_1_and_8_threads() {
             "daemon must reproduce the in-process sequence bit-for-bit at {threads} threads"
         );
         for solution in &reply.solutions {
-            assert!(cnf.is_satisfied_by_bits(solution));
+            assert!(cnf.is_satisfied_by_bits(&solution.to_bits()));
         }
         assert!(reply.stats.rounds > 0);
         assert!(reply.elapsed_ms >= 0.0);
@@ -80,7 +80,7 @@ fn wire_determinism_matches_in_process_stream_at_1_and_8_threads() {
         ..SamplerConfig::default()
     };
     let mut reference = GdSampler::new(&cnf, config).expect("build sampler");
-    let expected: Vec<Vec<bool>> = reference.stream().take(4).map(|s| s.to_bits()).collect();
+    let expected: Vec<Solution> = reference.stream().take(4).collect();
     let reply = client
         .sample(&SampleParams {
             n: 4,
@@ -116,7 +116,7 @@ fn cross_engine_determinism_matrix() {
         let mut sequences = Vec::new();
         for threads in [1usize, 8] {
             // In-process reference through the engine adapter.
-            let expected: Vec<Vec<bool>> = engine
+            let expected: Vec<Solution> = engine
                 .stream(&SessionConfig {
                     seed: SEED,
                     backend: Backend::Threads(threads),
@@ -124,7 +124,6 @@ fn cross_engine_determinism_matrix() {
                 })
                 .expect("stream")
                 .take(N)
-                .map(|s| s.to_bits())
                 .collect();
             assert_eq!(
                 expected.len(),
@@ -132,7 +131,10 @@ fn cross_engine_determinism_matrix() {
                 "engine {engine_name} found too few solutions in-process"
             );
             for s in &expected {
-                assert!(cnf.is_satisfied_by_bits(s), "{engine_name} invalid");
+                assert!(
+                    cnf.is_satisfied_by_bits(&s.to_bits()),
+                    "{engine_name} invalid"
+                );
             }
 
             let reply = client
@@ -512,7 +514,7 @@ fn concurrent_clients_share_the_registry() {
         let solutions = handle.join().expect("client thread");
         assert_eq!(solutions.len(), 4);
         for s in &solutions {
-            assert!(cnf.is_satisfied_by_bits(s));
+            assert!(cnf.is_satisfied_by_bits(&s.to_bits()));
         }
     }
     // Three concurrent loads of the same formula, one compile.

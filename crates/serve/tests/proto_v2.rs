@@ -8,7 +8,7 @@
 //! subscriber, and partial-line / read-timeout survival under the new
 //! framing.
 
-use htsat_cnf::dimacs;
+use htsat_cnf::{dimacs, Solution};
 use htsat_core::{GdSampler, SamplerConfig};
 use htsat_instances::families;
 use htsat_serve::json::Json;
@@ -319,7 +319,7 @@ fn interleaved_chunked_samples_reassemble_bit_identically() {
     let seeds = [11u64, 12];
     for threads in [1usize, 8] {
         // In-process references, one per seed.
-        let references: Vec<Vec<Vec<bool>>> = seeds
+        let references: Vec<Vec<Solution>> = seeds
             .iter()
             .map(|&seed| {
                 let config = SamplerConfig {
@@ -328,7 +328,7 @@ fn interleaved_chunked_samples_reassemble_bit_identically() {
                     ..SamplerConfig::default()
                 };
                 let mut reference = GdSampler::new(&cnf, config).expect("reference");
-                reference.stream().take(N).map(|s| s.to_bits()).collect()
+                reference.stream().take(N).collect()
             })
             .collect();
 
@@ -348,7 +348,7 @@ fn interleaved_chunked_samples_reassemble_bit_identically() {
                     .expect("start")
             })
             .collect();
-        let mut reassembled = vec![Vec::new(); ids.len()];
+        let mut reassembled: Vec<Vec<Solution>> = vec![Vec::new(); ids.len()];
         let mut open = vec![true; ids.len()];
         while open.iter().any(|o| *o) {
             for (lane, &id) in ids.iter().enumerate() {
@@ -423,7 +423,7 @@ fn credit_exhaustion_stalls_exactly_the_starved_subscriber() {
     // guarantees: batches at the same `seq` are bit-identical across
     // seats, each seat's own delivery has no internal gaps, and
     // delivered + stalls accounts for every batch produced while seated.
-    let mut batches_by_seq: Vec<(u64, Vec<Vec<bool>>)> = Vec::new();
+    let mut batches_by_seq: Vec<(u64, Vec<Solution>)> = Vec::new();
     let mut totals = Vec::new();
     for sub in [fed_a, fed_b] {
         let mut seqs = Vec::new();

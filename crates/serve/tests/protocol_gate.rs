@@ -12,7 +12,7 @@
 //! * The multiplexing is visible in STATS, and the daemon shuts down
 //!   gracefully at the end.
 
-use htsat_cnf::dimacs;
+use htsat_cnf::{dimacs, Solution};
 use htsat_core::{GdSampler, SamplerConfig};
 use htsat_instances::families;
 use htsat_serve::json::Json;
@@ -36,14 +36,14 @@ fn protocol_gate() {
     let fingerprint = load.fingerprint;
 
     const N: usize = 10;
-    let reference = |seed: u64, threads: usize| -> Vec<Vec<bool>> {
+    let reference = |seed: u64, threads: usize| -> Vec<Solution> {
         let config = SamplerConfig {
             seed,
             backend: Backend::Threads(threads),
             ..SamplerConfig::default()
         };
         let mut sampler = GdSampler::new(&cnf, config).expect("reference sampler");
-        sampler.stream().take(N).map(|s| s.to_bits()).collect()
+        sampler.stream().take(N).collect()
     };
 
     let t0 = std::time::Instant::now();
@@ -71,7 +71,7 @@ fn protocol_gate() {
                     .collect();
                 // Drain the two streams strictly interleaved so chunks of
                 // each arrive while the reader waits on the other.
-                let mut reassembled = vec![Vec::new(); ids.len()];
+                let mut reassembled: Vec<Vec<Solution>> = vec![Vec::new(); ids.len()];
                 let mut open = vec![true; ids.len()];
                 while open.iter().any(|o| *o) {
                     for (lane, &id) in ids.iter().enumerate() {
@@ -90,7 +90,7 @@ fn protocol_gate() {
                 }
                 for (lane, solutions) in reassembled.iter().enumerate() {
                     for s in solutions {
-                        assert!(cnf.is_satisfied_by_bits(s));
+                        assert!(cnf.is_satisfied_by_bits(&s.to_bits()));
                     }
                     assert_eq!(solutions.len(), N, "lane {lane} short");
                 }
@@ -183,7 +183,7 @@ fn protocol_gate() {
         Err(ClientError::Server(msg)) if msg.contains("unknown subscription") => {}
         Err(other) => panic!("grant credit: {other:?}"),
     }
-    let mut sequences: Vec<Vec<(u64, Vec<Vec<bool>>)>> = Vec::new();
+    let mut sequences: Vec<Vec<(u64, Vec<Solution>)>> = Vec::new();
     let mut totals = Vec::new();
     for &sub in funded {
         let mut batches = Vec::new();
@@ -212,7 +212,7 @@ fn protocol_gate() {
         }
     }
     for s in sequences.iter().flat_map(|b| b.iter().flat_map(|(_, s)| s)) {
-        assert!(tiny_cnf.is_satisfied_by_bits(s));
+        assert!(tiny_cnf.is_satisfied_by_bits(&s.to_bits()));
     }
     match subscriber.sub_next(starved).expect("starved terminal") {
         SubEvent::Done {
