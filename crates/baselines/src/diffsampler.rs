@@ -5,15 +5,23 @@
 //! of all clause values from 1 with a GPU-accelerated optimiser. It is the
 //! closest prior work to the paper's sampler but skips the CNF-to-circuit
 //! transformation, so comparing the two isolates the transformation's
-//! contribution. [`DiffSamplerEngine`] builds the soft-CNF model on the same
-//! tensor backend used by the transformed-circuit sampler, a single time,
+//! contribution. [`DiffSamplerEngine`] compiles the soft-CNF model into the
+//! same [`FlatKernel`] the transformed-circuit sampler runs, a single time,
 //! and shares it with every minted session, mirroring how
 //! [`htsat_core::PreparedFormula`] shares its compiled circuit.
+//!
+//! Both engines run one descent, [`FlatKernel::descend`], and one
+//! word-wide validation, [`Cnf::satisfying_lanes`], so the ablation
+//! differs only in the circuit (the flat CNF against the transformed
+//! circuit), the embedding (the plain [`ops::sigmoid`] against the
+//! clamped [`ops::embed_logit`]) and the recipe constants below. In the
+//! soft-CNF circuit, input column `v` is variable `v`, so the signs of a
+//! row's logits are its assignment.
 
-use htsat_cnf::{Cnf, Solution};
+use htsat_cnf::{Cnf, Solution, WORD_BITS};
 use htsat_core::{BoxedSession, SampleEngine, SessionConfig, TransformError};
 use htsat_runtime::{derive_stream_seed, RoundSource, StopToken};
-use htsat_tensor::{ops, Backend, BatchMatrix, MemoryModel, SoftCircuit, SoftGate};
+use htsat_tensor::{ops, Backend, BatchMatrix, FlatKernel, MemoryModel, SoftCircuit, SoftGate};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -66,13 +74,14 @@ fn build_soft_cnf(cnf: &Cnf) -> SoftCircuit {
     circuit
 }
 
-/// The prepared DiffSampler-style engine: the soft-CNF circuit, built once
-/// and shared (behind an [`Arc`]) with every minted session. Sessions take
-/// their seed, backend and batch override from their [`SessionConfig`].
+/// The prepared DiffSampler-style engine: the soft-CNF circuit, compiled
+/// once into a [`FlatKernel`] and shared (behind an [`Arc`]) with every
+/// minted session. Sessions take their seed, backend and batch override
+/// from their [`SessionConfig`].
 #[derive(Debug, Clone)]
 pub struct DiffSamplerEngine {
     cnf: Arc<Cnf>,
-    circuit: Arc<SoftCircuit>,
+    kernel: Arc<FlatKernel>,
 }
 
 impl DiffSamplerEngine {
@@ -80,7 +89,7 @@ impl DiffSamplerEngine {
     #[must_use]
     pub fn prepare(cnf: &Cnf) -> Self {
         DiffSamplerEngine {
-            circuit: Arc::new(build_soft_cnf(cnf)),
+            kernel: Arc::new(FlatKernel::compile(&build_soft_cnf(cnf))),
             cnf: Arc::new(cnf.clone()),
         }
     }
@@ -104,8 +113,8 @@ impl SampleEngine for DiffSamplerEngine {
         }
         Ok(Box::new(DiffSamplerSession {
             cnf: self.cnf.clone(),
-            circuit: self.circuit.clone(),
-            batch_size,
+            kernel: self.kernel.clone(),
+            logits: BatchMatrix::zeros(batch_size, self.cnf.num_vars()),
             backend: config.backend,
             rng: SmallRng::seed_from_u64(config.seed),
             last_attempts: 0,
@@ -113,16 +122,11 @@ impl SampleEngine for DiffSamplerEngine {
     }
 
     fn memory_model(&self, batch: usize, workers: usize) -> MemoryModel {
-        // The staged soft-CNF path keeps the cloned probability matrix and
-        // the gradient matrix resident per iteration, like the reference
-        // kernel of the transformed sampler.
-        MemoryModel::new(self.cnf.num_vars(), self.circuit.num_nodes(), batch)
-            .with_workers(workers)
-            .with_staged_matrices(2)
+        self.kernel.memory_model(batch, workers)
     }
 
     fn artifact_dims(&self) -> Vec<(&'static str, usize)> {
-        vec![("nodes", self.circuit.num_nodes())]
+        vec![("nodes", self.kernel.num_nodes())]
     }
 }
 
@@ -130,8 +134,10 @@ impl SampleEngine for DiffSamplerEngine {
 /// RNG streams (thread-count independent, like the transformed sampler).
 struct DiffSamplerSession {
     cnf: Arc<Cnf>,
-    circuit: Arc<SoftCircuit>,
-    batch_size: usize,
+    kernel: Arc<FlatKernel>,
+    /// The batch logit matrix, one column per variable, allocated once and
+    /// descended in place every round.
+    logits: BatchMatrix,
     backend: Backend,
     rng: SmallRng,
     /// Candidates the most recent round actually hardened (zero when a stop
@@ -150,43 +156,35 @@ impl RoundSource for DiffSamplerSession {
         // candidates depend on (seed, row) only, never on how the
         // backend schedules the batch across threads.
         let round_seed: u64 = self.rng.gen();
-        let mut logits = BatchMatrix::zeros(self.batch_size, n);
         self.backend
-            .for_each_row(logits.as_mut_slice(), n, |b, row| {
+            .for_each_row(self.logits.as_mut_slice(), n, |b, row| {
                 let mut row_rng = SmallRng::seed_from_u64(derive_stream_seed(round_seed, b));
                 for v in row.iter_mut() {
                     *v = row_rng.gen_range(-scale..=scale);
                 }
                 0.0
             });
-        for _ in 0..ITERATIONS {
-            if stop.is_stopped() {
-                return Vec::new();
-            }
-            let mut probs = logits.clone();
-            probs.map_inplace(ops::sigmoid);
-            let (_loss, grad_p) = self.circuit.loss_and_input_grads(&probs, self.backend);
-            let mut grad_v = grad_p;
-            for (g, &p) in grad_v
-                .as_mut_slice()
-                .iter_mut()
-                .zip(probs.as_slice().iter())
-            {
-                *g *= ops::sigmoid_grad_from_output(p);
-            }
-            logits.saxpy_neg(LEARNING_RATE, &grad_v);
+        self.kernel.descend(
+            &mut self.logits,
+            self.backend,
+            LEARNING_RATE,
+            ITERATIONS,
+            || stop.is_stopped(),
+            ops::sigmoid,
+        );
+        if stop.is_stopped() {
+            return Vec::new();
         }
-        self.last_attempts = self.batch_size;
-        (0..self.batch_size)
-            .map(|b| {
-                logits
-                    .row(b)
-                    .iter()
-                    .map(|&v| v > 0.0)
-                    .collect::<Vec<bool>>()
-            })
-            .filter(|bits| self.cnf.is_satisfied_by_bits(bits))
-            .map(|bits| Solution::from_bits(&bits))
+        let batch = self.logits.batch();
+        self.last_attempts = batch;
+        let words = self.backend.map_indices(batch.div_ceil(WORD_BITS), |word| {
+            let (signs, rows) = self.logits.sign_words(word * WORD_BITS);
+            self.cnf.satisfying_lanes(&signs, rows)
+        });
+        words
+            .into_iter()
+            .flatten()
+            .map(|(_, solution)| solution)
             .collect()
     }
 
@@ -199,21 +197,101 @@ impl RoundSource for DiffSamplerSession {
 mod tests {
     use super::*;
     use crate::test_support::{assert_valid_unique, gate_cnf, loose_cnf, sample};
+    use htsat_tensor::LANES;
 
     #[test]
     fn soft_cnf_loss_is_zero_exactly_on_models() {
         let cnf = gate_cnf();
         let circuit = build_soft_cnf(&cnf);
         let n = cnf.num_vars();
+        let mut grad = vec![0.0f32; n];
         for mask in 0..(1u32 << n) {
             let bits: Vec<bool> = (0..n).map(|i| (mask >> i) & 1 == 1).collect();
-            let probs = BatchMatrix::from_fn(1, n, |_, c| if bits[c] { 1.0 } else { 0.0 });
-            let (loss, _) = circuit.loss_and_input_grads(&probs, Backend::Sequential);
+            let probs: Vec<f32> = bits.iter().map(|&b| f32::from(u8::from(b))).collect();
+            let loss = circuit.loss_and_grad_single(&probs, &mut grad);
             assert_eq!(
                 loss < 1e-9,
                 cnf.is_satisfied_by_bits(&bits),
                 "mask {mask:b}"
             );
+        }
+    }
+
+    /// A formula whose unit clause, repeated 64 times, drives `x1`'s logit
+    /// far past where the plain sigmoid rounds to 1.0.
+    fn saturating_cnf() -> Cnf {
+        let mut cnf = Cnf::new(4);
+        for _ in 0..64 {
+            cnf.add_dimacs_clause([1]);
+        }
+        cnf.add_dimacs_clause([-1, 2]);
+        cnf.add_dimacs_clause([-1, -2, 3]);
+        cnf.add_dimacs_clause([-1, 3, 4]);
+        cnf
+    }
+
+    #[test]
+    fn rounds_match_a_row_by_row_replay_on_the_reference_circuit() {
+        for cnf in [gate_cnf(), loose_cnf(), saturating_cnf()] {
+            let engine = DiffSamplerEngine::prepare(&cnf);
+            let circuit = build_soft_cnf(&cnf);
+            let n = cnf.num_vars();
+            for (batch, threads) in [(17, 1), (33, 3)] {
+                let mut session = DiffSamplerSession {
+                    cnf: engine.cnf.clone(),
+                    kernel: engine.kernel.clone(),
+                    logits: BatchMatrix::zeros(batch, n),
+                    backend: Backend::Threads(threads),
+                    rng: SmallRng::seed_from_u64(9),
+                    last_attempts: 0,
+                };
+                for round in 0..2 {
+                    let round_seed: u64 = session.rng.clone().gen();
+                    let solutions = session.round(&StopToken::new());
+                    let mut expected = Vec::new();
+                    for b in 0..batch {
+                        // The staged recipe, one row at a time: plain
+                        // sigmoid, reference loss and gradient, chain rule,
+                        // descent.
+                        let mut rng = SmallRng::seed_from_u64(derive_stream_seed(round_seed, b));
+                        let mut row: Vec<f32> = (0..n)
+                            .map(|_| rng.gen_range(-INIT_SCALE..=INIT_SCALE))
+                            .collect();
+                        let mut grad = vec![0.0f32; n];
+                        for _ in 0..ITERATIONS {
+                            let probs: Vec<f32> = row.iter().map(|&v| ops::sigmoid(v)).collect();
+                            circuit.loss_and_grad_single(&probs, &mut grad);
+                            for ((v, &g), &p) in row.iter_mut().zip(&grad).zip(&probs) {
+                                *v -= LEARNING_RATE * (g * ops::sigmoid_grad_from_output(p));
+                            }
+                        }
+                        let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(session.logits.row(b)),
+                            bits(&row),
+                            "batch {batch}, threads {threads}, round {round}, row {b}"
+                        );
+                        let signs: Vec<bool> = row.iter().map(|&v| v > 0.0).collect();
+                        if cnf.is_satisfied_by_bits(&signs) {
+                            expected.push(Solution::from_bits(&signs));
+                        }
+                    }
+                    assert_eq!(solutions, expected, "batch {batch}, round {round}");
+                    assert_eq!(session.round_size(), batch);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memory_model_counts_one_block_workspace_per_worker() {
+        let engine = DiffSamplerEngine::prepare(&gate_cnf());
+        let block = engine.kernel.lane_workspace::<LANES>().bytes() as u64;
+        for workers in [1, 3] {
+            for batch in [1, 256] {
+                let model = engine.memory_model(batch, workers);
+                assert_eq!(model.workspace_bytes(), workers as u64 * block);
+            }
         }
     }
 

@@ -789,10 +789,14 @@ pub fn kernel_oracle(compiled: &CompiledCircuit, learning_rate: f32) -> Option<u
         for first in (0..ORACLE_ROWS).step_by(LANES) {
             let rows = LANES.min(ORACLE_ROWS - first);
             let block = &mut fused.as_mut_slice()[first * n..(first + rows) * n];
-            let loss =
-                compiled
-                    .kernel
-                    .fused_gd_block(block, learning_rate, 1, || false, &mut workspace);
+            let loss = compiled.kernel.fused_gd_block(
+                block,
+                learning_rate,
+                1,
+                || false,
+                ops::embed_logit,
+                &mut workspace,
+            );
             losses[first..first + rows].copy_from_slice(&loss[..rows]);
         }
         for (row, diverged) in diverged.iter_mut().enumerate() {

@@ -1,6 +1,6 @@
 //! The CNF formula type.
 
-use crate::{Assignment, Clause, Lit, Var};
+use crate::{transpose_block, Assignment, Clause, Lit, Solution, Var, WORD_BITS};
 use std::fmt;
 
 /// A CNF formula: a conjunction of [`Clause`]s over `num_vars` variables.
@@ -146,6 +146,48 @@ impl Cnf {
             });
         }
         live
+    }
+
+    /// The satisfying assignments among the first `rows` bit lanes of
+    /// `words` (laid out as for [`Cnf::satisfied_lanes`]), each packed into
+    /// a [`Solution`] over all `words.len()` variables: `(lane, solution)`
+    /// for every satisfying lane, in lane order. Lanes at or above `rows`
+    /// are ignored, whatever they hold.
+    ///
+    /// Each surviving lane is packed by transposing the words 64 variables
+    /// at a time ([`transpose_block`]), so a lane costs one word copy per
+    /// 64 variables rather than one bit test per variable. Lane for lane
+    /// this is [`Cnf::is_satisfied_by_bits`] followed by
+    /// [`Solution::from_bits`], keeping the satisfying lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is shorter than [`Cnf::num_vars`] or `rows`
+    /// exceeds 64.
+    pub fn satisfying_lanes(&self, words: &[u64], rows: usize) -> Vec<(usize, Solution)> {
+        assert!(rows <= WORD_BITS, "a word holds at most {WORD_BITS} rows");
+        let live = (!0u64).checked_shr((WORD_BITS - rows) as u32).unwrap_or(0);
+        let valid = self.satisfied_lanes(words, live);
+        let lanes: Vec<usize> = (0..rows).filter(|lane| valid >> lane & 1 == 1).collect();
+        if lanes.is_empty() {
+            return Vec::new();
+        }
+        let mut packed = vec![vec![0u64; words.len().div_ceil(WORD_BITS)]; lanes.len()];
+        let mut block = [0u64; WORD_BITS];
+        for (k, chunk) in words.chunks(WORD_BITS).enumerate() {
+            // A partial last chunk leaves stale words above it; they land in
+            // the padding bits, which `Solution::from_words` clears.
+            block[..chunk.len()].copy_from_slice(chunk);
+            transpose_block(&mut block);
+            for (row, &lane) in packed.iter_mut().zip(&lanes) {
+                row[k] = block[lane];
+            }
+        }
+        lanes
+            .into_iter()
+            .zip(packed)
+            .map(|(lane, row)| (lane, Solution::from_words(row.into(), words.len())))
+            .collect()
     }
 
     /// Evaluates the formula under a (possibly partial) [`Assignment`].

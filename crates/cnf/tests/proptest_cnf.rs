@@ -58,29 +58,55 @@ proptest! {
 
     #[test]
     fn word_wide_clause_mask_matches_every_lane(
-        cnf in arb_cnf(8, 16, 4),
-        lanes in prop::collection::vec(arb_bits(8), 1..=64),
+        universe in prop_oneof![Just(0usize), Just(8), Just(63), Just(64), Just(65)],
+        clauses in prop::collection::vec(
+            prop::collection::vec((any::<usize>(), any::<bool>()), 1..=4),
+            0..=16,
+        ),
+        rows in prop_oneof![Just(1usize), Just(63), Just(64), 1usize..=64],
+        words in prop::collection::vec(any::<u64>(), 65),
         mask in any::<u64>(),
     ) {
-        // Transpose the lanes into one word per variable; the lanes beyond
-        // `lanes.len()` (a partial word) carry garbage ones, as an evaluated
+        let mut cnf = Cnf::new(universe);
+        if universe > 0 {
+            for clause in &clauses {
+                cnf.add_dimacs_clause(clause.iter().map(|&(v, positive)| {
+                    let var = (v % universe + 1) as i64;
+                    if positive { var } else { -var }
+                }));
+            }
+        }
+        // One word per variable, one lane per row. The lanes at or above
+        // `rows` (a partial word) carry random bits, as an evaluated
         // circuit's inverted nodes would.
-        let garbage = (!0u64).checked_shl(lanes.len() as u32).unwrap_or(0);
-        let words: Vec<u64> = (0..8)
-            .map(|v| {
-                lanes
-                    .iter()
-                    .enumerate()
-                    .fold(garbage, |w, (j, bits)| w | u64::from(bits[v]) << j)
-            })
+        let words = &words[..universe];
+        let lanes: Vec<Vec<bool>> = (0..rows)
+            .map(|j| words.iter().map(|w| w >> j & 1 == 1).collect())
             .collect();
-        let live = mask & (!0u64 >> (64 - lanes.len()));
-        let got = cnf.satisfied_lanes(&words, live);
+        let live = mask & (!0u64 >> (64 - rows));
+        let got = cnf.satisfied_lanes(words, live);
         for (j, bits) in lanes.iter().enumerate() {
             let expected = live >> j & 1 == 1 && cnf.is_satisfied_by_bits(bits);
             prop_assert_eq!(got >> j & 1 == 1, expected, "lane {}", j);
         }
         prop_assert_eq!(got & !live, 0, "a lane outside the mask survived");
+
+        // Packed, the satisfying rows are exactly the per-row verdicts.
+        let expected: Vec<(usize, Solution)> = lanes
+            .iter()
+            .enumerate()
+            .filter(|(_, bits)| cnf.is_satisfied_by_bits(bits))
+            .map(|(j, bits)| (j, Solution::from_bits(bits)))
+            .collect();
+        let packed = cnf.satisfying_lanes(words, rows);
+        for (_, solution) in &packed {
+            prop_assert_eq!(solution.len(), universe);
+            if universe % 64 != 0 {
+                let last = solution.words()[universe / 64];
+                prop_assert_eq!(last >> (universe % 64), 0, "padding is zero");
+            }
+        }
+        prop_assert_eq!(packed, expected);
     }
 
     #[test]

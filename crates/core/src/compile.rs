@@ -5,7 +5,7 @@
 //! become learnable input columns, and output constraints become ℓ2 targets.
 
 use crate::TransformResult;
-use htsat_cnf::{transpose_block, Cnf, Solution, Var, WORD_BITS};
+use htsat_cnf::{Cnf, Solution, Var};
 use htsat_logic::{GateKind, NodeRef};
 use htsat_tensor::{BatchMatrix, FlatKernel, SoftCircuit, SoftGate};
 
@@ -49,20 +49,17 @@ impl CompiledCircuit {
     /// rows `WORD_ROWS * word ..` (up to [`WORD_ROWS`] of them; fewer in a
     /// partial last word), each held in one bit lane of a `u64`.
     ///
-    /// 1. Every input column's logits are thresholded (`> 0.0`, so NaN and
-    ///    `-0.0` give 0) into one word.
+    /// 1. Every input column's logits are thresholded into one word
+    ///    ([`BatchMatrix::sign_words`]).
     /// 2. The kernel evaluates every node word-wide
     ///    ([`FlatKernel::forward_words`]).
     /// 3. Each variable of the formula's universe takes its driver node's
     ///    word; a free variable takes [`free_value`] per row.
-    /// 4. [`Cnf::satisfied_lanes`] checks every clause, masked to the
-    ///    word's rows.
+    /// 4. [`Cnf::satisfying_lanes`] checks every clause for the word's rows
+    ///    and packs each satisfying row into a [`Solution`].
     ///
     /// Returns `(row, solution)` for each row whose assignment satisfies
-    /// `cnf`, in row order. Each surviving row is packed by transposing the
-    /// variable words 64 variables at a time ([`transpose_block`]), so a
-    /// row costs one word copy per 64 variables rather than one bit test
-    /// per variable. Row for row this is the scalar composition
+    /// `cnf`, in row order. Row for row this is the scalar composition
     /// [`TransformResult::assignment_from_inputs`] (inputs read through
     /// [`CompiledCircuit::column_of`], free variables from [`free_value`])
     /// followed by [`Cnf::is_satisfied_by_bits`], keeping the valid rows.
@@ -85,14 +82,7 @@ impl CompiledCircuit {
             "one logit per input column"
         );
         let first = word * WORD_ROWS;
-        assert!(first < logits.batch(), "word {word} lies beyond the batch");
-        let rows = (logits.batch() - first).min(WORD_ROWS);
-        let mut inputs = vec![0u64; self.num_inputs()];
-        for lane in 0..rows {
-            for (bits, &v) in inputs.iter_mut().zip(logits.row(first + lane)) {
-                *bits |= u64::from(v > 0.0) << lane;
-            }
-        }
+        let (inputs, rows) = logits.sign_words(first);
         let mut nodes = vec![0u64; self.kernel.num_nodes()];
         self.kernel.forward_words(&inputs, &mut nodes);
         let vars: Vec<u64> = self
@@ -107,30 +97,9 @@ impl CompiledCircuit {
                 }),
             })
             .collect();
-        let valid = cnf.satisfied_lanes(&vars, !0 >> (WORD_ROWS - rows));
-        let lanes: Vec<usize> = (0..rows).filter(|lane| valid >> lane & 1 == 1).collect();
-        if lanes.is_empty() {
-            return Vec::new();
-        }
-        let mut packed = vec![vec![0u64; vars.len().div_ceil(WORD_BITS)]; lanes.len()];
-        let mut block = [0u64; WORD_BITS];
-        for (k, chunk) in vars.chunks(WORD_BITS).enumerate() {
-            // A partial last chunk leaves the variables beyond the universe
-            // zero, which keeps every row's padding bits zero.
-            block.fill(0);
-            block[..chunk.len()].copy_from_slice(chunk);
-            transpose_block(&mut block);
-            for (row, &lane) in packed.iter_mut().zip(&lanes) {
-                row[k] = block[lane];
-            }
-        }
-        lanes
+        cnf.satisfying_lanes(&vars, rows)
             .into_iter()
-            .zip(packed)
-            .map(|(lane, words)| {
-                let solution = Solution::from_words(words.into_boxed_slice(), vars.len());
-                (first + lane, solution)
-            })
+            .map(|(lane, solution)| (first + lane, solution))
             .collect()
     }
 }
@@ -239,7 +208,6 @@ mod tests {
     use crate::transform;
     use htsat_cnf::Cnf;
     use htsat_instances::suite::{table2_instance, SuiteScale};
-    use htsat_tensor::{Backend, BatchMatrix};
 
     fn and_constrained_cnf() -> Cnf {
         // x3 = x1 AND x2, x3 constrained to 1.
@@ -296,21 +264,21 @@ mod tests {
         let result = transform(&cnf).expect("transform");
         let compiled = compile(&result);
         let n = compiled.num_inputs();
+        let mut acts = Vec::new();
         for mask in 0..(1u32 << n) {
-            let probs = BatchMatrix::from_fn(1, n, |_, c| ((mask >> c) & 1) as f32);
-            let out = compiled
-                .circuit
-                .forward_outputs(&probs, Backend::Sequential);
+            let probs: Vec<f32> = (0..n).map(|c| ((mask >> c) & 1) as f32).collect();
+            compiled.circuit.forward_single(&probs, &mut acts);
             let netlist_ok = result.netlist.outputs_satisfied(|v| {
                 compiled
                     .column_of(Var::new(v))
                     .map(|c| (mask >> c) & 1 == 1)
                     .unwrap_or(false)
             });
-            let soft_ok = (0..out.width()).all(|o| {
-                let target = compiled.circuit.outputs()[o].1;
-                (out.get(0, o) - target).abs() < 1e-6
-            });
+            let soft_ok = compiled
+                .circuit
+                .outputs()
+                .iter()
+                .all(|&(node, target)| (acts[node] - target).abs() < 1e-6);
             assert_eq!(netlist_ok, soft_ok, "mask {mask:b}");
         }
     }

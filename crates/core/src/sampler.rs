@@ -8,9 +8,11 @@
 //! five iterations by default), the logits are hardened to bits, validated
 //! against the *original* CNF and deduplicated.
 //!
-//! The inner loop runs on the fused [`htsat_tensor::FlatKernel`], [`LANES`]
-//! rows at a time: the descend region maps over `batch.div_ceil(LANES)`
-//! blocks, and each block is transposed into a per-worker lane-major
+//! The inner loop runs on the fused [`htsat_tensor::FlatKernel::descend`],
+//! [`LANES`] rows at a time (the DiffSampler baseline runs the same descent
+//! with the plain sigmoid embedding): the descend region maps over
+//! `batch.div_ceil(LANES)` blocks, and each block is transposed into a
+//! per-worker lane-major
 //! [`htsat_tensor::Workspace`] once, runs every iteration — embedding,
 //! forward, backward, chain rule and the descent update as one pass over
 //! the flat circuit layout, each CSR step moving all of the block's rows
@@ -25,8 +27,8 @@
 //! row ([`CompiledCircuit::harden_word`]): thresholded input words go
 //! through the kernel's hard-logic pass
 //! ([`htsat_tensor::FlatKernel::forward_words`]), every CNF variable
-//! takes its driver node's word, and [`Cnf::satisfied_lanes`] checks every
-//! clause for all 64 rows at once. Only the surviving rows are packed into
+//! takes its driver node's word, and [`Cnf::satisfying_lanes`] checks every
+//! clause for all 64 rows at once and packs only the surviving rows into
 //! [`Solution`]s, by transposing the variable words 64 variables at a time.
 //! The per-row composition
 //! [`TransformResult::assignment_from_inputs`] +
@@ -45,13 +47,15 @@
 //! derived with [`htsat_runtime::derive_stream_seed`], and rounds emit rows
 //! in index order, so `Backend::Threads(1)` and `Backend::Threads(8)`
 //! produce the identical solution sequence for the same seed.
+//!
+//! [`LANES`]: htsat_tensor::LANES
 
 use crate::compile::{compile, CompiledCircuit, WORD_ROWS};
 use crate::transform::{transform_with_config, TransformConfig, TransformResult};
 use crate::TransformError;
 use htsat_cnf::{Cnf, Solution};
 use htsat_runtime::{derive_stream_seed, RoundSource, SampleStream, StopToken};
-use htsat_tensor::{Backend, BatchMatrix, MemoryModel, LANES};
+use htsat_tensor::{ops, Backend, BatchMatrix, MemoryModel};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -276,7 +280,7 @@ impl PreparedFormula {
     /// Memory model of a sampling round at `batch` rows over `workers`
     /// pool workers — the quantity a serving registry budgets by.
     pub fn memory_model(&self, batch: usize, workers: usize) -> MemoryModel {
-        memory_model(&self.compiled, batch, workers)
+        self.compiled.kernel.memory_model(batch, workers)
     }
 
     /// Builds a sampler from the prepared artifacts, skipping the
@@ -346,19 +350,6 @@ impl crate::SampleEngine for PreparedFormula {
             ("cone_nodes", kernel.descend_nodes()),
         ]
     }
-}
-
-/// The buffer model of one sampling round over `compiled` at `batch` rows
-/// and `workers` pool workers: the persistent logit matrix plus one
-/// [`LANES`]-wide block workspace per worker over the descend prefix and
-/// its input columns, as the descend region builds them.
-fn memory_model(compiled: &CompiledCircuit, batch: usize, workers: usize) -> MemoryModel {
-    let kernel = &compiled.kernel;
-    MemoryModel::new(compiled.num_inputs(), kernel.descend_nodes(), batch)
-        .with_workspace_inputs(kernel.descend_inputs())
-        .with_workers(workers)
-        .with_max_fanin(kernel.max_fanin())
-        .with_lanes(LANES)
 }
 
 /// Rejects run-time configurations that would poison or panic the sampling
@@ -465,11 +456,8 @@ impl GdSampler {
     /// configured backend's workers — the quantity plotted in the paper's
     /// Fig. 3 (right); the same model as [`PreparedFormula::memory_model`].
     pub fn memory_model_for_batch(&self, batch: usize) -> MemoryModel {
-        memory_model(
-            &self.compiled,
-            batch,
-            self.config.backend.effective_threads(),
-        )
+        let workers = self.config.backend.effective_threads();
+        self.compiled.kernel.memory_model(batch, workers)
     }
 
     /// Runs one gradient-descent round and returns the valid (but not
@@ -512,29 +500,18 @@ impl GdSampler {
             });
         }
 
-        let iterations = self.config.iterations;
-        let learning_rate = self.config.learning_rate;
         // The fused hot path: one parallel region runs every row's whole
         // gradient-descent trajectory (rows are independent), LANES rows per
-        // block, each worker reusing one preallocated block workspace for
-        // every block it claims — zero allocations per block.
-        let kernel = &self.compiled.kernel;
+        // block.
         {
             let _span = htsat_obs::span!("engine.gd.descend");
-            backend.for_each_row_with(
-                logits.as_mut_slice(),
-                n * LANES,
-                || kernel.lane_workspace::<LANES>(),
-                |_, block, ws| {
-                    let loss = kernel.fused_gd_block(
-                        block,
-                        learning_rate,
-                        iterations,
-                        || stop.is_stopped(),
-                        ws,
-                    );
-                    loss[..block.len() / n].iter().sum()
-                },
+            self.compiled.kernel.descend(
+                logits,
+                backend,
+                self.config.learning_rate,
+                self.config.iterations,
+                || stop.is_stopped(),
+                ops::embed_logit,
             );
         }
         if stop.is_stopped() {
@@ -635,6 +612,7 @@ mod tests {
     use super::*;
     use htsat_cnf::dimacs;
     use htsat_instances::suite::{table2_instance, SuiteScale};
+    use htsat_tensor::LANES;
 
     fn mux_constrained_cnf() -> Cnf {
         // x5 = MUX(x4; x2, x3) with x5 = 1 and x4 = ¬x1.

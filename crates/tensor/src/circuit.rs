@@ -1,6 +1,6 @@
 //! Differentiable (probabilistic) circuits with reverse-mode gradients.
 
-use crate::{ops, Backend, BatchMatrix};
+use crate::ops;
 
 /// Index of a node inside a [`SoftCircuit`].
 pub type NodeIdx = usize;
@@ -42,10 +42,12 @@ pub struct SoftNode {
 
 /// A topologically ordered differentiable circuit.
 ///
-/// The circuit maps a batch of input probability rows to output probabilities
+/// The circuit maps one row of input probabilities to output probabilities
 /// and provides the gradient of the ℓ2 loss between the outputs and their
 /// constrained targets with respect to the inputs — exactly the model the
-/// paper trains with gradient descent.
+/// paper trains with gradient descent. It runs one row at a time and is
+/// the reference the fused [`FlatKernel`](crate::FlatKernel) is checked
+/// against bit for bit.
 #[derive(Debug, Clone, Default)]
 pub struct SoftCircuit {
     nodes: Vec<SoftNode>,
@@ -259,72 +261,6 @@ impl SoftCircuit {
         }
         loss
     }
-
-    /// Batched loss and input gradients.
-    ///
-    /// `probs` has shape `[batch, num_inputs]`; the returned gradient matrix
-    /// has the same shape and the returned loss is summed over the whole
-    /// batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `probs.width() != num_inputs`.
-    pub fn loss_and_input_grads(
-        &self,
-        probs: &BatchMatrix,
-        backend: Backend,
-    ) -> (f64, BatchMatrix) {
-        assert_eq!(probs.width(), self.num_inputs, "input width mismatch");
-        let batch = probs.batch();
-        let mut grads = BatchMatrix::zeros(batch, self.num_inputs);
-        if self.num_inputs == 0 {
-            // Degenerate circuit with no learnable inputs: every batch row
-            // sees the identical constant loss, so run the forward pass once
-            // and scale instead of re-evaluating per row.
-            let mut scratch = Vec::new();
-            self.forward_single(&[], &mut scratch);
-            let per_row: f64 = self
-                .outputs
-                .iter()
-                .map(|&(n, t)| ops::l2_loss_and_grad(scratch[n], t).0 as f64)
-                .sum();
-            return (per_row * batch as f64, grads);
-        }
-        let loss = backend.for_each_row(
-            grads.as_mut_slice(),
-            self.num_inputs,
-            |row_idx, grad_row| self.loss_and_grad_single(probs.row(row_idx), grad_row),
-        );
-        (loss, grads)
-    }
-
-    /// Forward pass over a batch, returning the constrained-output
-    /// probabilities with shape `[batch, outputs.len()]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `probs.width() != num_inputs`.
-    pub fn forward_outputs(&self, probs: &BatchMatrix, backend: Backend) -> BatchMatrix {
-        assert_eq!(probs.width(), self.num_inputs, "input width mismatch");
-        // Write each result row straight into the output matrix (no
-        // intermediate Vec<Vec<f32>>, no copy pass); the activation scratch
-        // is a per-worker workspace reused across rows.
-        let width = self.outputs.len();
-        let mut out = BatchMatrix::zeros(probs.batch(), width);
-        backend.for_each_row_with(
-            out.as_mut_slice(),
-            width,
-            Vec::new,
-            |b, out_row, acts: &mut Vec<f32>| {
-                self.forward_single(probs.row(b), acts);
-                for (slot, &(node, _)) in out_row.iter_mut().zip(self.outputs.iter()) {
-                    *slot = acts[node];
-                }
-                0.0
-            },
-        );
-        out
-    }
 }
 
 #[cfg(test)]
@@ -388,54 +324,17 @@ mod tests {
     #[test]
     fn gradient_descent_reduces_loss() {
         let c = mux_circuit();
-        let mut probs = BatchMatrix::filled(4, 3, 0.5);
-        let (initial, _) = c.loss_and_input_grads(&probs, Backend::Sequential);
+        let mut probs = [0.5f32; 3];
+        let mut grads = [0.0f32; 3];
+        let initial = c.loss_and_grad_single(&probs, &mut grads);
         for _ in 0..20 {
-            let (_, grads) = c.loss_and_input_grads(&probs, Backend::Sequential);
-            probs.saxpy_neg(0.2, &grads);
-            probs.map_inplace(|v| v.clamp(0.0, 1.0));
-        }
-        let (final_loss, _) = c.loss_and_input_grads(&probs, Backend::Sequential);
-        assert!(final_loss < initial, "{final_loss} should be < {initial}");
-    }
-
-    #[test]
-    fn sequential_and_parallel_backends_agree() {
-        let c = mux_circuit();
-        let probs = BatchMatrix::from_fn(16, 3, |b, w| ((b * 3 + w) % 10) as f32 / 10.0);
-        let (l1, g1) = c.loss_and_input_grads(&probs, Backend::Sequential);
-        let (l2, g2) = c.loss_and_input_grads(&probs, Backend::Threads(2));
-        assert!((l1 - l2).abs() < 1e-9);
-        assert_eq!(g1.as_slice(), g2.as_slice());
-    }
-
-    #[test]
-    fn forward_outputs_shape() {
-        let c = mux_circuit();
-        let probs = BatchMatrix::filled(5, 3, 0.5);
-        let out = c.forward_outputs(&probs, Backend::Threads(2));
-        assert_eq!(out.batch(), 5);
-        assert_eq!(out.width(), 1);
-    }
-
-    #[test]
-    fn forward_outputs_values_match_forward_single_on_every_backend() {
-        let c = mux_circuit();
-        let probs = BatchMatrix::from_fn(9, 3, |b, w| ((b * 5 + w * 2) % 11) as f32 / 11.0);
-        let mut acts = Vec::new();
-        for backend in [
-            Backend::Sequential,
-            Backend::Threads(2),
-            Backend::Threads(4),
-        ] {
-            let out = c.forward_outputs(&probs, backend);
-            for b in 0..probs.batch() {
-                c.forward_single(probs.row(b), &mut acts);
-                for (o, &(node, _)) in c.outputs().iter().enumerate() {
-                    assert_eq!(out.get(b, o), acts[node], "backend {backend:?} row {b}");
-                }
+            c.loss_and_grad_single(&probs, &mut grads);
+            for (p, g) in probs.iter_mut().zip(grads) {
+                *p = (*p - 0.2 * g).clamp(0.0, 1.0);
             }
         }
+        let final_loss = c.loss_and_grad_single(&probs, &mut grads);
+        assert!(final_loss < initial, "{final_loss} should be < {initial}");
     }
 
     #[test]
@@ -468,21 +367,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "input width mismatch")]
-    fn batched_call_rejects_wrong_width() {
-        let c = mux_circuit();
-        let probs = BatchMatrix::zeros(2, 2);
-        let _ = c.loss_and_input_grads(&probs, Backend::Sequential);
-    }
-
-    #[test]
     fn circuit_with_no_inputs_reports_constant_loss() {
         let mut c = SoftCircuit::new(0);
         let k = c.constant(1.0);
         c.constrain(k, 0.0);
-        let probs = BatchMatrix::zeros(3, 0);
-        let (loss, grads) = c.loss_and_input_grads(&probs, Backend::Sequential);
-        assert!((loss - 3.0).abs() < 1e-9);
-        assert_eq!(grads.width(), 0);
+        assert_eq!(c.loss_and_grad_single(&[], &mut []), 1.0);
     }
 }

@@ -13,8 +13,11 @@
 //! CSR step moves `L` rows through one node in inner loops over the lanes
 //! that the compiler vectorises. The per-row API ([`FlatKernel::forward`],
 //! [`FlatKernel::loss_and_grad`], [`FlatKernel::fused_gd_step`]) is the
-//! `L = 1` instantiation; the sampler's descend region runs blocks of
-//! [`LANES`] rows through [`FlatKernel::fused_gd_block`].
+//! `L = 1` instantiation; [`FlatKernel::descend`] runs a whole logit
+//! matrix in blocks of [`LANES`] rows through [`FlatKernel::fused_gd_block`].
+//! Both gradient engines descend through it: the transformed circuit's
+//! sampler embeds logits with [`ops::embed_logit`], the DiffSampler
+//! baseline's soft CNF with the plain [`ops::sigmoid`].
 //!
 //! The descent runs only the *descend prefix*: the nodes up to and including
 //! the last constrained output. No later node can reach an output, so none
@@ -36,7 +39,7 @@
 //! `tests/proptest_flat.rs` and replayed over the generated corpus in CI.
 
 use crate::circuit::{SoftCircuit, SoftGate};
-use crate::ops;
+use crate::{ops, Backend, BatchMatrix, MemoryModel};
 
 /// Batch rows the sampler's descend region moves through the kernel per
 /// CSR step: one 64-byte cache line per node per buffer.
@@ -337,13 +340,64 @@ impl FlatKernel {
     /// finite-difference tests use. This is the one-lane instance of
     /// [`FlatKernel::fused_gd_block`] running one iteration.
     pub fn fused_gd_step(&self, logits: &mut [f32], learning_rate: f32, ws: &mut Workspace) -> f64 {
-        let [loss] = self.fused_gd_block(logits, learning_rate, 1, || false, ws);
+        let [loss] = self.fused_gd_block(logits, learning_rate, 1, || false, ops::embed_logit, ws);
         loss
+    }
+
+    /// Runs up to `iterations` fused gradient-descent steps on every row of
+    /// `logits` in place: the matrix is cut into blocks of [`LANES`] rows,
+    /// the backend maps over the blocks, and each worker reuses one
+    /// [`FlatKernel::lane_workspace`] for every block it claims — zero
+    /// allocations per block. Each block runs
+    /// [`FlatKernel::fused_gd_block`] with `stopped` (polled before every
+    /// iteration) and `embed`.
+    ///
+    /// Rows are independent, so every row ends bit-identical whatever the
+    /// backend or thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `logits` does not have [`FlatKernel::num_inputs`] columns.
+    pub fn descend(
+        &self,
+        logits: &mut BatchMatrix,
+        backend: Backend,
+        learning_rate: f32,
+        iterations: usize,
+        stopped: impl Fn() -> bool + Sync,
+        embed: impl Fn(f32) -> f32 + Sync,
+    ) {
+        assert_eq!(logits.width(), self.num_inputs, "one logit per input");
+        backend.for_each_row_with(
+            logits.as_mut_slice(),
+            self.num_inputs * LANES,
+            || self.lane_workspace::<LANES>(),
+            |_, block, ws| {
+                self.fused_gd_block(block, learning_rate, iterations, &stopped, &embed, ws);
+                0.0
+            },
+        );
+    }
+
+    /// The buffer model of [`FlatKernel::descend`] over `batch` rows and
+    /// `workers` pool workers: the persistent logit matrix plus one
+    /// [`LANES`]-wide block workspace per worker over the descend prefix
+    /// and its input columns.
+    pub fn memory_model(&self, batch: usize, workers: usize) -> MemoryModel {
+        MemoryModel::new(self.num_inputs, self.descend_nodes(), batch)
+            .with_workspace_inputs(self.descend_inputs())
+            .with_workers(workers)
+            .with_max_fanin(self.max_fanin)
+            .with_lanes(LANES)
     }
 
     /// Runs up to `iterations` fused gradient-descent steps (see
     /// [`FlatKernel::fused_gd_step`]) on a block of at most `L` row-major
-    /// logit rows at once, one lane per row.
+    /// logit rows at once, one lane per row, embedding each logit into a
+    /// probability with `embed`: [`ops::embed_logit`] for the transformed
+    /// circuit's sampler, the unclamped [`ops::sigmoid`] for the
+    /// DiffSampler baseline. The embedding is a type parameter, so each
+    /// choice compiles to its own loop with no branch per value.
     ///
     /// The rows' descend columns are transposed into the workspace once,
     /// `stopped` is polled before every iteration (the block stops at the
@@ -369,6 +423,7 @@ impl FlatKernel {
         learning_rate: f32,
         iterations: usize,
         stopped: impl Fn() -> bool,
+        embed: impl Fn(f32) -> f32,
         ws: &mut Workspace<L>,
     ) -> [f64; L] {
         let n = self.num_inputs;
@@ -405,7 +460,7 @@ impl FlatKernel {
                 break;
             }
             for (p, v) in probs.iter_mut().zip(logits.iter()) {
-                *p = v.map(ops::embed_logit);
+                *p = v.map(&embed);
             }
             self.forward_lanes(payload, probs, acts);
             loss = self.backward_lanes(payload, acts, node_grad, grad_inputs, fanin_p, fanin_g);
@@ -893,7 +948,7 @@ mod tests {
         let mut rows = [1.5f32, -0.0, f32::NAN, -3.25, 0.0, f32::INFINITY];
         let before = rows;
         let mut ws = kernel.lane_workspace::<LANES>();
-        let loss = kernel.fused_gd_block(&mut rows, 10.0, 5, || false, &mut ws);
+        let loss = kernel.fused_gd_block(&mut rows, 10.0, 5, || false, ops::embed_logit, &mut ws);
         assert_eq!(loss, [0.0; LANES]);
         assert_eq!(bits(&rows), bits(&before));
         let mut grad = [7.0f32; 2];
@@ -942,7 +997,14 @@ mod tests {
         let before = block.clone();
         let (learning_rate, iterations) = (10.0, 5);
         let mut ws = kernel.lane_workspace::<LANES>();
-        kernel.fused_gd_block(&mut block, learning_rate, iterations, || false, &mut ws);
+        kernel.fused_gd_block(
+            &mut block,
+            learning_rate,
+            iterations,
+            || false,
+            ops::embed_logit,
+            &mut ws,
+        );
         for (r, (after, before)) in block.chunks(5).zip(before.chunks(5)).enumerate() {
             assert_eq!(bits(&after[3..]), bits(&before[3..]), "row {r}");
             // The cone columns descend as the reference composition does.
@@ -959,6 +1021,54 @@ mod tests {
             }
             assert_eq!(bits(&after[..3]), bits(&cone), "row {r}");
             assert_ne!(bits(&after[..3]), bits(&before[..3]), "row {r} descended");
+        }
+    }
+
+    #[test]
+    fn descend_moves_every_row_as_its_embedding_dictates_on_every_backend() {
+        let c = all_gates_circuit();
+        let kernel = FlatKernel::compile(&c);
+        // Two full blocks and a partial third, with logits out to ±20,
+        // where the plain sigmoid rounds to 0.0 or 1.0.
+        let start = BatchMatrix::from_fn(2 * LANES + 3, 4, |b, w| {
+            ((b * 7 + w * 5) % 41) as f32 - 20.0
+        });
+        let (learning_rate, iterations) = (10.0, 3);
+        // Each row through the reference composition with `embed`.
+        let replay = |embed: fn(f32) -> f32| -> Vec<u32> {
+            let mut grad = [0.0f32; 4];
+            let rows = start.rows().flat_map(|row| {
+                let mut row = row.to_vec();
+                for _ in 0..iterations {
+                    let probs: Vec<f32> = row.iter().map(|&v| embed(v)).collect();
+                    c.loss_and_grad_single(&probs, &mut grad);
+                    for ((v, &g), &p) in row.iter_mut().zip(&grad).zip(&probs) {
+                        *v -= learning_rate * (g * ops::sigmoid_grad_from_output(p));
+                    }
+                }
+                row
+            });
+            bits(&rows.collect::<Vec<_>>())
+        };
+        assert_ne!(replay(ops::embed_logit), replay(ops::sigmoid));
+        for embed in [ops::embed_logit, ops::sigmoid] {
+            let expected = replay(embed);
+            for backend in [
+                Backend::Sequential,
+                Backend::Threads(1),
+                Backend::Threads(3),
+            ] {
+                let mut logits = start.clone();
+                kernel.descend(
+                    &mut logits,
+                    backend,
+                    learning_rate,
+                    iterations,
+                    || false,
+                    embed,
+                );
+                assert_eq!(bits(logits.as_slice()), expected, "{backend:?}");
+            }
         }
     }
 

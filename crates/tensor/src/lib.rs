@@ -11,16 +11,19 @@
 //! implementation uses PyTorch on NVIDIA V100 GPUs; this crate provides the
 //! equivalent substrate in pure Rust:
 //!
-//! * [`BatchMatrix`] — a dense row-major `[batch, width]` `f32` matrix,
+//! * [`BatchMatrix`] — a dense row-major `[batch, width]` `f32` matrix, whose
+//!   [`BatchMatrix::sign_words`] hardens 64 rows into one `u64` per column,
 //! * [`ops`] — the soft gate forward rules and their derivatives,
 //! * [`SoftCircuit`] — a topologically ordered differentiable circuit with a
-//!   reverse-mode gradient pass per batch element (the reference
-//!   implementation),
+//!   reverse-mode gradient pass for one row (the reference implementation,
+//!   kept as the oracle),
 //! * [`FlatKernel`] / [`Workspace`] — the same circuit compiled once into a
-//!   CSR-style flat layout, executing the sampler's fused
-//!   sigmoid + forward + backward + descent step on blocks of [`LANES`]
+//!   CSR-style flat layout, executing the fused
+//!   embed + forward + backward + descent step on blocks of [`LANES`]
 //!   rows (one lane per row) with zero allocations out of reusable
-//!   per-worker workspaces,
+//!   per-worker workspaces. [`FlatKernel::descend`] is the one descent both
+//!   gradient engines run: the transformed circuit's sampler and the
+//!   DiffSampler baseline differ only in the circuit and the embedding,
 //! * [`Backend`] — `Sequential` (the paper's CPU baseline) or `Threads(n)`
 //!   (the [`htsat_runtime`] thread pool across the batch, standing in for
 //!   the GPU),
@@ -29,7 +32,7 @@
 //! # Example
 //!
 //! ```
-//! use htsat_tensor::{Backend, BatchMatrix, SoftCircuit, SoftGate};
+//! use htsat_tensor::{FlatKernel, SoftCircuit, SoftGate};
 //!
 //! // A circuit computing `out = a AND b`, constrained to 1.
 //! let mut circuit = SoftCircuit::new(2);
@@ -38,9 +41,19 @@
 //! let g = circuit.gate(SoftGate::And, vec![a, b]);
 //! circuit.constrain(g, 1.0);
 //!
-//! let probs = BatchMatrix::filled(1, 2, 0.9);
-//! let (loss, _grads) = circuit.loss_and_input_grads(&probs, Backend::Sequential);
+//! // The reference: loss and input gradient of one row of probabilities.
+//! let mut grad = [0.0f32; 2];
+//! let loss = circuit.loss_and_grad_single(&[0.9, 0.9], &mut grad);
 //! assert!(loss < 0.05);
+//!
+//! // The fused kernel descends one row of logits towards `a = b = 1`.
+//! let kernel = FlatKernel::compile(&circuit);
+//! let mut workspace = kernel.workspace();
+//! let mut logits = [0.0f32; 2];
+//! for _ in 0..5 {
+//!     kernel.fused_gd_step(&mut logits, 10.0, &mut workspace);
+//! }
+//! assert!(logits.iter().all(|&v| v > 0.0));
 //! ```
 
 #![forbid(unsafe_code)]

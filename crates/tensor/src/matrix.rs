@@ -28,20 +28,6 @@ impl BatchMatrix {
         }
     }
 
-    /// Creates a matrix from row-major data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != batch * width`.
-    pub fn from_vec(batch: usize, width: usize, data: Vec<f32>) -> Self {
-        assert_eq!(
-            data.len(),
-            batch * width,
-            "data length must be batch * width"
-        );
-        BatchMatrix { data, batch, width }
-    }
-
     /// Creates a matrix by calling `f(batch_index, column)` for every element.
     pub fn from_fn<F: FnMut(usize, usize) -> f32>(batch: usize, width: usize, mut f: F) -> Self {
         let mut data = Vec::with_capacity(batch * width);
@@ -118,24 +104,25 @@ impl BatchMatrix {
         self.data.chunks(self.width)
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace<F: Fn(f32) -> f32 + Sync>(&mut self, f: F) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
-    /// Element-wise `self -= scale * other`.
+    /// The signs of up to 64 rows from row `first` on, one `u64` per
+    /// column: bit `j` of word `c` is set when column `c` of row
+    /// `first + j` is above zero (`> 0.0`, so NaN and `-0.0` give 0).
+    /// Returns the words and how many rows they hold: 64, or fewer at the
+    /// end of the matrix. The bits above that count are zero.
     ///
     /// # Panics
     ///
-    /// Panics if the shapes differ.
-    pub fn saxpy_neg(&mut self, scale: f32, other: &BatchMatrix) {
-        assert_eq!(self.batch, other.batch, "batch mismatch");
-        assert_eq!(self.width, other.width, "width mismatch");
-        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a -= scale * b;
+    /// Panics if `first` is not a row of the matrix.
+    pub fn sign_words(&self, first: usize) -> (Vec<u64>, usize) {
+        assert!(first < self.batch, "row {first} lies beyond the batch");
+        let rows = (self.batch - first).min(u64::BITS as usize);
+        let mut words = vec![0u64; self.width];
+        for lane in 0..rows {
+            for (bits, &v) in words.iter_mut().zip(self.row(first + lane)) {
+                *bits |= u64::from(v > 0.0) << lane;
+            }
         }
+        (words, rows)
     }
 
     /// Memory footprint of the value buffer in bytes.
@@ -169,24 +156,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "batch * width")]
-    fn from_vec_rejects_wrong_length() {
-        let _ = BatchMatrix::from_vec(2, 2, vec![0.0; 3]);
-    }
-
-    #[test]
-    fn saxpy_neg_updates_in_place() {
-        let mut a = BatchMatrix::filled(1, 2, 1.0);
-        let g = BatchMatrix::filled(1, 2, 0.5);
-        a.saxpy_neg(2.0, &g);
-        assert_eq!(a.as_slice(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn map_inplace_applies_function() {
-        let mut a = BatchMatrix::filled(2, 2, 2.0);
-        a.map_inplace(|v| v * v);
-        assert!(a.as_slice().iter().all(|&v| v == 4.0));
+    fn sign_words_hold_one_bit_per_row_and_stop_at_the_last_row() {
+        // Row r holds [r - 66, +/-0.0 by parity, NaN]; 70 rows, so the word
+        // from row 64 holds 6 rows.
+        let m = BatchMatrix::from_fn(70, 3, |r, c| match c {
+            0 => r as f32 - 66.0,
+            1 if r % 2 == 0 => 0.0,
+            1 => -0.0,
+            _ => f32::NAN,
+        });
+        assert_eq!(m.sign_words(0), (vec![0, 0, 0], 64));
+        assert_eq!(m.sign_words(64), (vec![0b11_1000, 0, 0], 6));
+        assert_eq!(m.sign_words(5), (vec![!0 << 62, 0, 0], 64));
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! subset of instances, observing that memory grows with both the complexity
 //! of the transformed Boolean function and the batch size. This module models
 //! the same quantity for the workspace-based execution model of
-//! [`FlatKernel`](crate::FlatKernel):
+//! [`FlatKernel::descend`](crate::FlatKernel::descend), which both gradient
+//! engines run ([`FlatKernel::memory_model`](crate::FlatKernel::memory_model)
+//! builds their model):
 //!
 //! * **Persistent buffers** scale with the batch: the logit matrix
 //!   `[batch, inputs]` the gradient-descent loop updates in place, plus one
@@ -16,10 +18,11 @@
 //!   every row or block it claims. The fused kernel's workspace holds only
 //!   the descend prefix's nodes and the input columns it reads.
 //!
-//! This is the key difference from a GPU resident-activation model (and
-//! from this crate's pre-flat-kernel execution model): activations cost
-//! `workers × nodes`, not `batch × nodes`, so circuit complexity no longer
-//! multiplies the batch size.
+//! This is the key difference from a GPU resident-activation model: no
+//! step keeps a batch-wide matrix of probabilities, gradients or
+//! activations, so activations cost `workers × nodes`, not
+//! `batch × nodes`, and circuit complexity does not multiply the batch
+//! size.
 
 /// Memory model of one gradient-descent sampling run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,13 +46,6 @@ pub struct MemoryModel {
     /// Batch rows each workspace carries side by side: 1 for a per-row
     /// workspace, [`LANES`](crate::LANES) for the sampler's descend blocks.
     pub lanes: usize,
-    /// Extra `[batch, inputs]` f32 matrices resident during a step — 0 for
-    /// the fused flat kernel; 2 for a staged batched [`SoftCircuit`] pass
-    /// such as the DiffSampler baseline (the cloned probability matrix and
-    /// the gradient matrix).
-    ///
-    /// [`SoftCircuit`]: crate::SoftCircuit
-    pub staged_matrices: usize,
 }
 
 impl MemoryModel {
@@ -68,7 +64,6 @@ impl MemoryModel {
             workers: 1,
             max_fanin: 0,
             lanes: 1,
-            staged_matrices: 0,
         }
     }
 
@@ -100,20 +95,6 @@ impl MemoryModel {
         self
     }
 
-    /// Sets how many extra `[batch, inputs]` matrices the execution form
-    /// keeps resident (0 = fused flat kernel, 2 = staged batched pass).
-    #[must_use]
-    pub fn with_staged_matrices(mut self, staged_matrices: usize) -> Self {
-        self.staged_matrices = staged_matrices;
-        self
-    }
-
-    /// Bytes of the execution form's extra batch-wide staging matrices
-    /// (zero on the fused path).
-    pub fn staged_bytes(&self) -> u64 {
-        self.staged_matrices as u64 * self.batch as u64 * self.num_inputs as u64 * 4
-    }
-
     /// Bytes used by persistent batch-wide buffers: the in-place logit
     /// matrix (`[batch, inputs]` f32) plus the hardened bit per entry.
     pub fn persistent_bytes(&self) -> u64 {
@@ -135,7 +116,7 @@ impl MemoryModel {
 
     /// Total modelled bytes.
     pub fn total_bytes(&self) -> u64 {
-        self.persistent_bytes() + self.staged_bytes() + self.workspace_bytes()
+        self.persistent_bytes() + self.workspace_bytes()
     }
 
     /// Total modelled mebibytes, the unit used in the paper's figure.
@@ -196,22 +177,9 @@ mod tests {
     fn component_breakdown_sums_to_total() {
         let m = MemoryModel::new(64, 256, 128)
             .with_workers(4)
-            .with_max_fanin(8)
-            .with_staged_matrices(2);
-        assert_eq!(
-            m.total_bytes(),
-            m.persistent_bytes() + m.staged_bytes() + m.workspace_bytes()
-        );
+            .with_max_fanin(8);
+        assert_eq!(m.total_bytes(), m.persistent_bytes() + m.workspace_bytes());
         assert!(m.total_mib() > 0.0);
-    }
-
-    #[test]
-    fn staged_reference_path_costs_more_than_the_fused_path() {
-        let fused = MemoryModel::new(100, 1000, 512);
-        let staged = MemoryModel::new(100, 1000, 512).with_staged_matrices(2);
-        assert_eq!(fused.staged_bytes(), 0);
-        assert_eq!(staged.staged_bytes(), 2 * 512 * 100 * 4);
-        assert!(staged.total_bytes() > fused.total_bytes());
     }
 
     #[test]

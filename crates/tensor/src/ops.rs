@@ -146,7 +146,7 @@ pub fn l2_loss_and_grad(y: f32, target: f32) -> (f32, f32) {
 /// Clamps a probability to the open interval `(eps, 1-eps)` to keep gradients
 /// finite.
 #[inline]
-pub fn clamp_prob(p: f32, eps: f32) -> f32 {
+fn clamp_prob(p: f32, eps: f32) -> f32 {
     p.clamp(eps, 1.0 - eps)
 }
 

@@ -9,7 +9,7 @@
 //! Runs without the libtest harness (`harness = false` in `Cargo.toml`) so
 //! no concurrent harness thread can allocate while the counter is armed.
 
-use htsat_tensor::{FlatKernel, SoftCircuit, SoftGate, LANES};
+use htsat_tensor::{ops, FlatKernel, SoftCircuit, SoftGate, LANES};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -89,7 +89,7 @@ fn main() {
     let mut blocks: Vec<f32> = rows.iter().take(2 * LANES + 5).flatten().copied().collect();
     let block_step = move |block: &mut [f32], ws: &mut _| -> f64 {
         let _span = htsat_obs::span!("alloc.gd_block");
-        let loss = kernel_ref.fused_gd_block(block, 10.0, 5, || false, ws);
+        let loss = kernel_ref.fused_gd_block(block, 10.0, 5, || false, ops::embed_logit, ws);
         htsat_obs::counter!("alloc.gd_blocks").inc();
         loss.iter().sum()
     };
