@@ -11,17 +11,19 @@
 //! [`htsat_core::PreparedFormula`] shares its compiled circuit.
 //!
 //! Both engines run one descent, [`FlatKernel::descend`], and one
-//! word-wide validation, [`Cnf::satisfying_lanes`], so the ablation
+//! group-wide validation, [`Cnf::satisfying_lanes`] over [`GROUP_ROWS`]
+//! rows at a time, so the ablation
 //! differs only in the circuit (the flat CNF against the transformed
 //! circuit), the embedding (the plain [`ops::sigmoid`] against the
 //! clamped [`ops::embed_logit`]) and the recipe constants below. In the
 //! soft-CNF circuit, input column `v` is variable `v`, so the signs of a
 //! row's logits are its assignment.
 
-use htsat_cnf::{Cnf, Solution, WORD_BITS};
+use htsat_cnf::{Cnf, Solution};
 use htsat_core::{BoxedSession, SampleEngine, SessionConfig, TransformError};
 use htsat_runtime::{derive_stream_seed, RoundSource, StopToken};
 use htsat_tensor::{ops, Backend, BatchMatrix, FlatKernel, MemoryModel, SoftCircuit, SoftGate};
+use htsat_tensor::{GROUP_ROWS, GROUP_WORDS};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -121,8 +123,11 @@ impl SampleEngine for DiffSamplerEngine {
         }))
     }
 
+    /// The descent plus each worker's group of sign words per variable.
     fn memory_model(&self, batch: usize, workers: usize) -> MemoryModel {
-        self.kernel.memory_model(batch, workers)
+        self.kernel
+            .memory_model(batch, workers)
+            .with_hard_words(GROUP_WORDS * self.cnf.num_vars())
     }
 
     fn artifact_dims(&self) -> Vec<(&'static str, usize)> {
@@ -177,11 +182,11 @@ impl RoundSource for DiffSamplerSession {
         }
         let batch = self.logits.batch();
         self.last_attempts = batch;
-        let words = self.backend.map_indices(batch.div_ceil(WORD_BITS), |word| {
-            let (signs, rows) = self.logits.sign_words(word * WORD_BITS);
+        let groups = self.backend.map_indices(batch.div_ceil(GROUP_ROWS), |g| {
+            let (signs, rows) = self.logits.sign_words::<GROUP_WORDS>(g * GROUP_ROWS);
             self.cnf.satisfying_lanes(&signs, rows)
         });
-        words
+        groups
             .into_iter()
             .flatten()
             .map(|(_, solution)| solution)
@@ -291,6 +296,8 @@ mod tests {
             for batch in [1, 256] {
                 let model = engine.memory_model(batch, workers);
                 assert_eq!(model.workspace_bytes(), workers as u64 * block);
+                let signs = GROUP_WORDS * engine.cnf.num_vars() * 8;
+                assert_eq!(model.hard_bytes(), (workers * signs) as u64);
             }
         }
     }

@@ -43,7 +43,7 @@ use htsat_core::{
 use htsat_instances::suite::{full_suite, table2_instances, SuiteScale};
 use htsat_instances::Instance;
 use htsat_runtime::derive_stream_seed;
-use htsat_tensor::{Backend, BatchMatrix, LANES};
+use htsat_tensor::{Backend, BatchMatrix, GROUP_ROWS, LANES};
 use std::time::Duration;
 
 /// Options shared by every experiment runner.
@@ -819,13 +819,13 @@ pub fn kernel_oracle(compiled: &CompiledCircuit, learning_rate: f32) -> Option<u
     diverged.iter().position(|&d| d)
 }
 
-/// Rows the harden oracle replays: two full 64-row words and a partial
-/// third.
-const HARDEN_ORACLE_ROWS: usize = 130;
+/// Rows the harden oracle replays: a full [`GROUP_ROWS`]-row group, then
+/// a partial one of two full 64-row words and a partial third.
+const HARDEN_ORACLE_ROWS: usize = GROUP_ROWS + 130;
 
-/// Row-level oracle for the sampler's word-parallel hardening: replays 130
-/// deterministic logit rows through
-/// [`CompiledCircuit::harden_word`] and, independently, through the scalar
+/// Row-level oracle for the sampler's group-parallel hardening: replays
+/// 386 deterministic logit rows through
+/// [`CompiledCircuit::harden_group`] and, independently, through the scalar
 /// composition the sampler ran before words existed —
 /// [`TransformResult::assignment_from_inputs`] with inputs read through
 /// [`CompiledCircuit::column_of`] and free variables from
@@ -862,8 +862,8 @@ pub fn harden_oracle(
         }
     }
     let free_seed = 0x5eed_f4ee;
-    let mut words = (0..HARDEN_ORACLE_ROWS.div_ceil(compile::WORD_ROWS))
-        .flat_map(|word| compiled.harden_word(cnf, &logits, word, free_seed))
+    let mut groups = (0..HARDEN_ORACLE_ROWS.div_ceil(GROUP_ROWS))
+        .flat_map(|group| compiled.harden_group(cnf, &logits, group, free_seed))
         .peekable();
     (0..HARDEN_ORACLE_ROWS).find(|&row| {
         let values = logits.row(row);
@@ -872,10 +872,10 @@ pub fn harden_oracle(
             |v| compile::free_value(free_seed, row, v),
         );
         let scalar = cnf.is_satisfied_by_bits(&bits).then_some(bits);
-        let word = words
+        let group = groups
             .next_if(|(r, _)| *r == row)
             .map(|(_, solution)| solution.to_bits());
-        scalar != word
+        scalar != group
     })
 }
 

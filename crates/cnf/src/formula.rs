@@ -118,17 +118,19 @@ impl Cnf {
         self.clauses.iter().all(|c| c.eval_bits(bits))
     }
 
-    /// Evaluates the formula under up to 64 complete assignments at once,
-    /// one per bit lane: bit `j` of `words[i]` is the value of zero-based
-    /// variable `i` in assignment `j`. Each clause ORs its literal words and
-    /// the clauses AND into a mask of live lanes, so lane `j` of the result
-    /// is set exactly when `j` is set in `lanes` and
-    /// [`Cnf::is_satisfied_by_bits`] accepts assignment `j`.
+    /// Evaluates the formula under up to `64 * W` complete assignments at
+    /// once, one per bit lane: bit `j` of word `w` of `words[i]` is the
+    /// value of zero-based variable `i` in assignment `64 * w + j`. Each
+    /// clause ORs its literal words (a negative literal's flipped by an
+    /// all-ones XOR mask) and the clauses AND into a mask of live lanes, so
+    /// a lane of the result is set exactly when it is set in `lanes` and
+    /// [`Cnf::is_satisfied_by_bits`] accepts its assignment. Words are
+    /// independent: each ends as a one-word check of it would leave it.
     ///
     /// # Panics
     ///
     /// Panics if `words` is shorter than [`Cnf::num_vars`].
-    pub fn satisfied_lanes(&self, words: &[u64], lanes: u64) -> u64 {
+    pub fn satisfied_lanes<const W: usize>(&self, words: &[[u64; W]], lanes: [u64; W]) -> [u64; W] {
         assert!(
             words.len() >= self.num_vars,
             "assignment has {} words but formula has {} variables",
@@ -137,57 +139,71 @@ impl Cnf {
         );
         let mut live = lanes;
         for clause in &self.clauses {
-            if live == 0 {
+            if live == [0; W] {
                 break;
             }
-            live &= clause.lits().iter().fold(0, |any, lit| {
-                let word = words[lit.var().as_usize()];
-                any | if lit.is_positive() { word } else { !word }
+            let any = clause.lits().iter().fold([0; W], |any, lit| {
+                let word = &words[lit.var().as_usize()];
+                let flip = u64::from(lit.is_negative()).wrapping_neg();
+                std::array::from_fn(|w| any[w] | (word[w] ^ flip))
             });
+            live = std::array::from_fn(|w| live[w] & any[w]);
         }
         live
     }
 
-    /// The satisfying assignments among the first `rows` bit lanes of
-    /// `words` (laid out as for [`Cnf::satisfied_lanes`]), each packed into
-    /// a [`Solution`] over all `words.len()` variables: `(lane, solution)`
-    /// for every satisfying lane, in lane order. Lanes at or above `rows`
-    /// are ignored, whatever they hold.
+    /// The satisfying assignments among the first `rows` rows of `words`
+    /// (laid out as for [`Cnf::satisfied_lanes`]), each packed into a
+    /// [`Solution`] over all `words.len()` variables: `(row, solution)` for
+    /// every satisfying row, in row order. Lanes past `rows` are ignored,
+    /// whatever they hold.
     ///
-    /// Each surviving lane is packed by transposing the words 64 variables
-    /// at a time ([`transpose_block`]), so a lane costs one word copy per
-    /// 64 variables rather than one bit test per variable. Lane for lane
-    /// this is [`Cnf::is_satisfied_by_bits`] followed by
-    /// [`Solution::from_bits`], keeping the satisfying lanes.
+    /// Each word with a surviving lane is packed by transposing it 64
+    /// variables at a time ([`transpose_block`]), so a row costs one word
+    /// copy per 64 variables rather than one bit test per variable. Row for
+    /// row this is [`Cnf::is_satisfied_by_bits`] followed by
+    /// [`Solution::from_bits`], keeping the satisfying rows.
     ///
     /// # Panics
     ///
     /// Panics if `words` is shorter than [`Cnf::num_vars`] or `rows`
-    /// exceeds 64.
-    pub fn satisfying_lanes(&self, words: &[u64], rows: usize) -> Vec<(usize, Solution)> {
-        assert!(rows <= WORD_BITS, "a word holds at most {WORD_BITS} rows");
-        let live = (!0u64).checked_shr((WORD_BITS - rows) as u32).unwrap_or(0);
+    /// exceeds `64 * W`.
+    pub fn satisfying_lanes<const W: usize>(
+        &self,
+        words: &[[u64; W]],
+        rows: usize,
+    ) -> Vec<(usize, Solution)> {
+        assert!(rows <= W * WORD_BITS, "{rows} rows overflow {W} words");
+        let live = std::array::from_fn(|w| {
+            let unused = (WORD_BITS * (w + 1)).saturating_sub(rows).min(WORD_BITS);
+            (!0u64).checked_shr(unused as u32).unwrap_or(0)
+        });
         let valid = self.satisfied_lanes(words, live);
-        let lanes: Vec<usize> = (0..rows).filter(|lane| valid >> lane & 1 == 1).collect();
-        if lanes.is_empty() {
-            return Vec::new();
-        }
-        let mut packed = vec![vec![0u64; words.len().div_ceil(WORD_BITS)]; lanes.len()];
+        let mut packed = Vec::new();
         let mut block = [0u64; WORD_BITS];
-        for (k, chunk) in words.chunks(WORD_BITS).enumerate() {
-            // A partial last chunk leaves stale words above it; they land in
-            // the padding bits, which `Solution::from_words` clears.
-            block[..chunk.len()].copy_from_slice(chunk);
-            transpose_block(&mut block);
-            for (row, &lane) in packed.iter_mut().zip(&lanes) {
-                row[k] = block[lane];
+        for (w, valid) in valid.into_iter().enumerate() {
+            if valid == 0 {
+                continue;
             }
+            let lanes: Vec<usize> = (0..WORD_BITS).filter(|j| valid >> j & 1 == 1).collect();
+            let mut rows = vec![vec![0u64; words.len().div_ceil(WORD_BITS)]; lanes.len()];
+            for (k, chunk) in words.chunks(WORD_BITS).enumerate() {
+                // A partial last chunk leaves stale words above it; they
+                // land in the padding bits, which `Solution::from_words`
+                // clears.
+                for (slot, word) in block.iter_mut().zip(chunk) {
+                    *slot = word[w];
+                }
+                transpose_block(&mut block);
+                for (row, &lane) in rows.iter_mut().zip(&lanes) {
+                    row[k] = block[lane];
+                }
+            }
+            let solution = |row: Vec<u64>| Solution::from_words(row.into(), words.len());
+            let lanes = lanes.into_iter().map(|lane| w * WORD_BITS + lane);
+            packed.extend(lanes.zip(rows.into_iter().map(solution)));
         }
-        lanes
-            .into_iter()
-            .zip(packed)
-            .map(|(lane, row)| (lane, Solution::from_words(row.into(), words.len())))
-            .collect()
+        packed
     }
 
     /// Evaluates the formula under a (possibly partial) [`Assignment`].

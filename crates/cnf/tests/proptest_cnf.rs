@@ -79,12 +79,12 @@ proptest! {
         // One word per variable, one lane per row. The lanes at or above
         // `rows` (a partial word) carry random bits, as an evaluated
         // circuit's inverted nodes would.
-        let words = &words[..universe];
+        let words: Vec<[u64; 1]> = words[..universe].iter().map(|&w| [w]).collect();
         let lanes: Vec<Vec<bool>> = (0..rows)
-            .map(|j| words.iter().map(|w| w >> j & 1 == 1).collect())
+            .map(|j| words.iter().map(|[w]| w >> j & 1 == 1).collect())
             .collect();
         let live = mask & (!0u64 >> (64 - rows));
-        let got = cnf.satisfied_lanes(words, live);
+        let [got] = cnf.satisfied_lanes(&words, [live]);
         for (j, bits) in lanes.iter().enumerate() {
             let expected = live >> j & 1 == 1 && cnf.is_satisfied_by_bits(bits);
             prop_assert_eq!(got >> j & 1 == 1, expected, "lane {}", j);
@@ -98,7 +98,7 @@ proptest! {
             .filter(|(_, bits)| cnf.is_satisfied_by_bits(bits))
             .map(|(j, bits)| (j, Solution::from_bits(bits)))
             .collect();
-        let packed = cnf.satisfying_lanes(words, rows);
+        let packed = cnf.satisfying_lanes(&words, rows);
         for (_, solution) in &packed {
             prop_assert_eq!(solution.len(), universe);
             if universe % 64 != 0 {
@@ -107,6 +107,44 @@ proptest! {
             }
         }
         prop_assert_eq!(packed, expected);
+    }
+
+    #[test]
+    fn a_group_of_words_checks_as_one_word_at_a_time(
+        universe in prop_oneof![Just(1usize), Just(64), Just(65), 1usize..=130],
+        clauses in prop::collection::vec(
+            prop::collection::vec((any::<usize>(), any::<bool>()), 1..=4),
+            1..=16,
+        ),
+        rows in prop_oneof![Just(1usize), Just(64), Just(65), Just(255), Just(256), 1usize..=256],
+        words in prop::collection::vec(any::<u64>(), 4 * 130),
+        mask in prop::collection::vec(any::<u64>(), 4),
+    ) {
+        let mut cnf = Cnf::new(universe);
+        for clause in &clauses {
+            cnf.add_dimacs_clause(clause.iter().map(|&(v, positive)| {
+                let var = (v % universe + 1) as i64;
+                if positive { var } else { -var }
+            }));
+        }
+        // Random bits in every lane, including the words and lanes at or
+        // above `rows` that the group does not use.
+        let words: Vec<[u64; 4]> = words.as_chunks().0[..universe].to_vec();
+        let mask: [u64; 4] = mask.try_into().expect("four words");
+        let one_word = |w: usize| -> Vec<[u64; 1]> { words.iter().map(|g| [g[w]]).collect() };
+        let group = cnf.satisfied_lanes(&words, mask);
+        let mut packed = Vec::new();
+        for w in 0..4 {
+            let [alone] = cnf.satisfied_lanes(&one_word(w), [mask[w]]);
+            prop_assert_eq!(group[w], alone, "word {}", w);
+            let held = rows.saturating_sub(64 * w).min(64);
+            packed.extend(
+                cnf.satisfying_lanes(&one_word(w), held)
+                    .into_iter()
+                    .map(|(lane, solution)| (64 * w + lane, solution)),
+            );
+        }
+        prop_assert_eq!(cnf.satisfying_lanes(&words, rows), packed);
     }
 
     #[test]

@@ -7,10 +7,8 @@
 use crate::TransformResult;
 use htsat_cnf::{Cnf, Solution, Var};
 use htsat_logic::{GateKind, NodeRef};
-use htsat_tensor::{BatchMatrix, FlatKernel, SoftCircuit, SoftGate};
-
-/// Rows one word of the hardening pass covers: one per bit of a `u64`.
-pub const WORD_ROWS: usize = 64;
+use htsat_tensor::{BatchMatrix, FlatKernel, MemoryModel, SoftCircuit, SoftGate};
+use htsat_tensor::{GROUP_ROWS, GROUP_WORDS};
 
 /// A compiled differentiable circuit together with the mapping from input
 /// columns back to CNF variables.
@@ -45,18 +43,19 @@ impl CompiledCircuit {
         self.columns.get(var.as_usize()).copied().flatten()
     }
 
-    /// Hardens, reconstructs and validates one word of a logit matrix: the
-    /// rows `WORD_ROWS * word ..` (up to [`WORD_ROWS`] of them; fewer in a
-    /// partial last word), each held in one bit lane of a `u64`.
+    /// Hardens, reconstructs and validates one group of a logit matrix: the
+    /// rows `GROUP_ROWS * group ..` (up to [`GROUP_ROWS`] of them; fewer in
+    /// a partial last group), each held in one bit lane of
+    /// [`GROUP_WORDS`] `u64`s.
     ///
-    /// 1. Every input column's logits are thresholded into one word
-    ///    ([`BatchMatrix::sign_words`]).
-    /// 2. The kernel evaluates every node word-wide
+    /// 1. Every input column's logits are thresholded into one group of
+    ///    words ([`BatchMatrix::sign_words`]).
+    /// 2. The kernel evaluates every node group-wide
     ///    ([`FlatKernel::forward_words`]).
     /// 3. Each variable of the formula's universe takes its driver node's
-    ///    word; a free variable takes [`free_value`] per row.
-    /// 4. [`Cnf::satisfying_lanes`] checks every clause for the word's rows
-    ///    and packs each satisfying row into a [`Solution`].
+    ///    words; a free variable takes [`free_value`] per row.
+    /// 4. [`Cnf::satisfying_lanes`] checks every clause for the group's
+    ///    rows and packs each satisfying row into a [`Solution`].
     ///
     /// Returns `(row, solution)` for each row whose assignment satisfies
     /// `cnf`, in row order. Row for row this is the scalar composition
@@ -67,13 +66,13 @@ impl CompiledCircuit {
     /// # Panics
     ///
     /// Panics if `logits` does not have one column per circuit input, if
-    /// the word lies beyond the matrix, or if `cnf` has more variables than
-    /// the formula this circuit was compiled from.
-    pub fn harden_word(
+    /// the group lies beyond the matrix, or if `cnf` has more variables
+    /// than the formula this circuit was compiled from.
+    pub fn harden_group(
         &self,
         cnf: &Cnf,
         logits: &BatchMatrix,
-        word: usize,
+        group: usize,
         free_seed: u64,
     ) -> Vec<(usize, Solution)> {
         assert_eq!(
@@ -81,26 +80,36 @@ impl CompiledCircuit {
             self.num_inputs(),
             "one logit per input column"
         );
-        let first = word * WORD_ROWS;
-        let (inputs, rows) = logits.sign_words(first);
-        let mut nodes = vec![0u64; self.kernel.num_nodes()];
+        let first = group * GROUP_ROWS;
+        let (inputs, rows) = logits.sign_words::<GROUP_WORDS>(first);
+        let mut nodes = vec![[0u64; GROUP_WORDS]; self.kernel.num_nodes()];
         self.kernel.forward_words(&inputs, &mut nodes);
-        let vars: Vec<u64> = self
+        let vars: Vec<[u64; GROUP_WORDS]> = self
             .drivers
             .iter()
             .enumerate()
             .map(|(i, driver)| match *driver {
                 Some(node) => nodes[node],
-                None => (0..rows).fold(0, |bits, lane| {
-                    let free = free_value(free_seed, first + lane, Var::from_zero_based(i));
-                    bits | u64::from(free) << lane
+                None => (0..rows).fold([0; GROUP_WORDS], |mut bits, row| {
+                    let free = free_value(free_seed, first + row, Var::from_zero_based(i));
+                    bits[row / 64] |= u64::from(free) << (row % 64);
+                    bits
                 }),
             })
             .collect();
         cnf.satisfying_lanes(&vars, rows)
             .into_iter()
-            .map(|(lane, solution)| (first + lane, solution))
+            .map(|(row, solution)| (first + row, solution))
             .collect()
+    }
+
+    /// [`FlatKernel::memory_model`] plus each worker's hard pass: a group
+    /// of words per column, node and variable.
+    pub fn memory_model(&self, batch: usize, workers: usize) -> MemoryModel {
+        let held = self.num_inputs() + self.kernel.num_nodes() + self.drivers.len();
+        self.kernel
+            .memory_model(batch, workers)
+            .with_hard_words(GROUP_WORDS * held)
     }
 }
 
@@ -304,15 +313,15 @@ mod tests {
         // Each variable's driver node computes, word-wide, what its
         // netlist driver computes in netlist order, row by row.
         let n = compiled.num_inputs();
-        let inputs: Vec<u64> = (0..n)
-            .map(|c| (c as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        let inputs: Vec<[u64; 1]> = (0..n)
+            .map(|c| [(c as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)])
             .collect();
-        let mut words = vec![0u64; compiled.kernel.num_nodes()];
+        let mut words = vec![[0u64]; compiled.kernel.num_nodes()];
         compiled.kernel.forward_words(&inputs, &mut words);
-        for lane in 0..WORD_ROWS {
+        for lane in 0..64 {
             let values = result.netlist.evaluate(|v| {
                 let col = compiled.column_of(Var::new(v)).expect("primary input");
-                inputs[col] >> lane & 1 == 1
+                inputs[col][0] >> lane & 1 == 1
             });
             for (i, driver) in compiled.drivers.iter().enumerate() {
                 let var = i as u32 + 1;
@@ -320,7 +329,7 @@ mod tests {
                 assert_eq!(driver.is_some(), netlist_driver.is_some(), "x{var}");
                 if let (Some(node), Some(d)) = (driver, netlist_driver) {
                     assert_eq!(
-                        words[*node] >> lane & 1 == 1,
+                        words[*node][0] >> lane & 1 == 1,
                         values[d],
                         "x{var}, row {lane}"
                     );

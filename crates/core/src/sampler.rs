@@ -23,13 +23,15 @@
 //! (bit for bit) and serves as the row-level oracle the kernel is checked
 //! against (`htsat_bench::kernel_oracle`).
 //!
-//! Hardening and validation run 64 rows per `u64` word, one bit lane per
-//! row ([`CompiledCircuit::harden_word`]): thresholded input words go
+//! Hardening and validation walk the circuit and the clauses once per
+//! [`GROUP_ROWS`] (256) rows, one bit lane of four `u64` words per row
+//! ([`CompiledCircuit::harden_group`]): thresholded input words go
 //! through the kernel's hard-logic pass
 //! ([`htsat_tensor::FlatKernel::forward_words`]), every CNF variable
-//! takes its driver node's word, and [`Cnf::satisfying_lanes`] checks every
-//! clause for all 64 rows at once and packs only the surviving rows into
-//! [`Solution`]s, by transposing the variable words 64 variables at a time.
+//! takes its driver node's words, and [`Cnf::satisfying_lanes`] checks
+//! every clause for all the group's rows at once and packs only the
+//! surviving rows into [`Solution`]s, by transposing the variable words 64
+//! variables at a time.
 //! The per-row composition
 //! [`TransformResult::assignment_from_inputs`] +
 //! [`Cnf::is_satisfied_by_bits`] yields the same rows and is the oracle
@@ -49,13 +51,14 @@
 //! produce the identical solution sequence for the same seed.
 //!
 //! [`LANES`]: htsat_tensor::LANES
+//! [`GROUP_ROWS`]: htsat_tensor::GROUP_ROWS
 
-use crate::compile::{compile, CompiledCircuit, WORD_ROWS};
+use crate::compile::{compile, CompiledCircuit};
 use crate::transform::{transform_with_config, TransformConfig, TransformResult};
 use crate::TransformError;
 use htsat_cnf::{Cnf, Solution};
 use htsat_runtime::{derive_stream_seed, RoundSource, SampleStream, StopToken};
-use htsat_tensor::{ops, Backend, BatchMatrix, MemoryModel};
+use htsat_tensor::{ops, Backend, BatchMatrix, MemoryModel, GROUP_ROWS};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -280,7 +283,7 @@ impl PreparedFormula {
     /// Memory model of a sampling round at `batch` rows over `workers`
     /// pool workers — the quantity a serving registry budgets by.
     pub fn memory_model(&self, batch: usize, workers: usize) -> MemoryModel {
-        self.compiled.kernel.memory_model(batch, workers)
+        self.compiled.memory_model(batch, workers)
     }
 
     /// Builds a sampler from the prepared artifacts, skipping the
@@ -457,7 +460,7 @@ impl GdSampler {
     /// Fig. 3 (right); the same model as [`PreparedFormula::memory_model`].
     pub fn memory_model_for_batch(&self, batch: usize) -> MemoryModel {
         let workers = self.config.backend.effective_threads();
-        self.compiled.kernel.memory_model(batch, workers)
+        self.compiled.memory_model(batch, workers)
     }
 
     /// Runs one gradient-descent round and returns the valid (but not
@@ -476,9 +479,9 @@ impl GdSampler {
 
     /// Runs one gradient-descent round and returns the valid (but not
     /// deduplicated) hardened assignments, polling `stop` before every
-    /// gradient-descent iteration of each block and per hardened 64-row
-    /// word, and returning early (with an empty or partial batch) once it
-    /// is set.
+    /// gradient-descent iteration of each block and per hardened
+    /// [`GROUP_ROWS`]-row group, and returning early (with an empty or
+    /// partial batch) once it is set.
     pub fn sample_round_cancellable(&mut self, stop: &StopToken) -> Vec<Solution> {
         let batch = self.config.batch_size;
         let n = self.compiled.num_inputs();
@@ -519,18 +522,17 @@ impl GdSampler {
         }
 
         // Harden, reconstruct full assignments and validate against the
-        // CNF, 64 rows per word (one bit lane each); rows come back valid
-        // only, in row order.
+        // CNF, one group of rows per task; valid rows only, in row order.
         let _span = htsat_obs::span!("engine.gd.harden");
         let free_seed: u64 = self.rng.gen();
-        let words = backend.map_indices(batch.div_ceil(WORD_ROWS), |word| {
+        let groups = backend.map_indices(batch.div_ceil(GROUP_ROWS), |group| {
             if stop.is_stopped() {
                 return Vec::new();
             }
             self.compiled
-                .harden_word(&self.cnf, &self.logits, word, free_seed)
+                .harden_group(&self.cnf, &self.logits, group, free_seed)
         });
-        words
+        groups
             .into_iter()
             .flatten()
             .map(|(_, solution)| solution)
@@ -612,7 +614,7 @@ mod tests {
     use super::*;
     use htsat_cnf::dimacs;
     use htsat_instances::suite::{table2_instance, SuiteScale};
-    use htsat_tensor::LANES;
+    use htsat_tensor::{GROUP_WORDS, LANES};
 
     fn mux_constrained_cnf() -> Cnf {
         // x5 = MUX(x4; x2, x3) with x5 = 1 and x4 = ¬x1.
@@ -740,7 +742,7 @@ mod tests {
     fn word_rounds_match_the_scalar_oracle_at_word_boundaries() {
         let (mut valid, mut attempts) = (0, 0);
         for threads in [1, 3] {
-            for batch in [1, 15, 16, 17, 33, 63, 64, 65, 130] {
+            for batch in [1, 15, 16, 17, 33, 63, 64, 65, 130, 255, 256, 257, 300, 513] {
                 let mut sampler = mixed_validity_sampler(batch, threads, batch as u64);
                 for round in 0..4 {
                     // The round draws its logit seed, then its free seed.
@@ -881,6 +883,23 @@ mod tests {
             }
             assert_eq!(kernel.descend_nodes() == prepared.num_nodes(), whole_cone);
             assert_eq!(kernel.descend_inputs() == prepared.num_inputs(), whole_cone);
+        }
+    }
+
+    #[test]
+    fn memory_model_counts_the_hard_pass_group_each_worker_holds() {
+        // One group of words per input column, node and variable, per
+        // worker, whatever the batch.
+        let instance = table2_instance("s15850a_3_2", SuiteScale::Small).expect("instance");
+        let prepared =
+            PreparedFormula::prepare(&instance.cnf, &TransformConfig::default()).expect("prepare");
+        let held = prepared.num_inputs() + prepared.num_nodes() + instance.cnf.num_vars();
+        let group_bytes = (GROUP_WORDS * held * 8) as u64;
+        for (batch, workers) in [(1, 1), (256, 1), (513, 3)] {
+            let model = prepared.memory_model(batch, workers);
+            assert_eq!(model.hard_bytes(), workers as u64 * group_bytes);
+            let parts = model.persistent_bytes() + model.workspace_bytes() + model.hard_bytes();
+            assert_eq!(model.total_bytes(), parts);
         }
     }
 

@@ -42,8 +42,14 @@ use crate::circuit::{SoftCircuit, SoftGate};
 use crate::{ops, Backend, BatchMatrix, MemoryModel};
 
 /// Batch rows the sampler's descend region moves through the kernel per
-/// CSR step: one 64-byte cache line per node per buffer.
-pub const LANES: usize = 16;
+/// CSR step: two 64-byte cache lines per node per buffer.
+pub const LANES: usize = 32;
+
+/// `u64` words per node in the samplers' hard pass ([`FlatKernel::forward_words`]).
+pub const GROUP_WORDS: usize = 4;
+
+/// Batch rows one hard-pass group holds, a bit lane each: 256, the default batch.
+pub const GROUP_ROWS: usize = GROUP_WORDS * u64::BITS as usize;
 
 /// Dense per-node instruction of the flat kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -382,7 +388,7 @@ impl FlatKernel {
     /// The buffer model of [`FlatKernel::descend`] over `batch` rows and
     /// `workers` pool workers: the persistent logit matrix plus one
     /// [`LANES`]-wide block workspace per worker over the descend prefix
-    /// and its input columns.
+    /// and its input columns; each engine adds its hard pass.
     pub fn memory_model(&self, batch: usize, workers: usize) -> MemoryModel {
         MemoryModel::new(self.num_inputs, self.descend_nodes(), batch)
             .with_workspace_inputs(self.descend_inputs())
@@ -542,43 +548,46 @@ impl FlatKernel {
         }
     }
 
-    /// Hard-logic forward pass over 64 rows at once, one bit lane per row:
-    /// bit `j` of `inputs[c]` is input column `c` of row `j` hardened to a
-    /// bit, and bit `j` of `nodes[i]` receives node `i`'s Boolean value in
-    /// that row.
+    /// Hard-logic forward pass over `64 * W` rows at once, one bit lane per
+    /// row: bit `j` of word `w` of `inputs[c]` is input column `c` of row
+    /// `64 * w + j` hardened to a bit, and the same bit of `nodes[i]`
+    /// receives node `i`'s Boolean value in that row.
     ///
     /// Nodes run in the same CSR order as [`FlatKernel::forward`]. An input
-    /// reads its column's word; a constant is all ones when its value is
+    /// reads its column's words; a constant is all ones when its value is
     /// above one half and all zeros otherwise; a gate folds its fan-in words
     /// with `&`, `|` or `^` and complements the result for the inverting
-    /// kinds. Lanes are independent, so whatever the caller puts in unused
-    /// lanes stays there. Allocation-free.
+    /// kinds. Lanes and words are independent, so whatever the caller puts
+    /// in unused lanes stays there, and each word ends as a one-word pass
+    /// over it would leave it. Allocation-free.
     ///
     /// # Panics
     ///
     /// Panics if `inputs` is shorter than [`FlatKernel::num_inputs`] or
     /// `nodes` shorter than [`FlatKernel::num_nodes`].
-    pub fn forward_words(&self, inputs: &[u64], nodes: &mut [u64]) {
+    pub fn forward_words<const W: usize>(&self, inputs: &[[u64; W]], nodes: &mut [[u64; W]]) {
         let n = self.opcodes.len();
         let inputs = &inputs[..self.num_inputs];
         let nodes = &mut nodes[..n];
+        let (payload, offsets) = (&self.payload[..n], &self.offsets[..n + 1]);
+        let mut lo = 0usize;
         for i in 0..n {
-            let fanin = &self.fanin[self.offsets[i] as usize..self.offsets[i + 1] as usize];
-            let words = fanin.iter().map(|&f| nodes[f as usize]);
-            let value = match self.opcodes[i] {
-                OpCode::Input => inputs[self.payload[i] as usize],
-                OpCode::Const if f32::from_bits(self.payload[i]) > 0.5 => !0,
-                OpCode::Const => 0,
+            let hi = offsets[i + 1] as usize;
+            let fanin = &self.fanin[lo..hi];
+            lo = hi;
+            nodes[i] = match self.opcodes[i] {
+                OpCode::Input => inputs[payload[i] as usize],
+                OpCode::Const if f32::from_bits(payload[i]) > 0.5 => [!0; W],
+                OpCode::Const => [0; W],
                 OpCode::Buf => nodes[fanin[0] as usize],
-                OpCode::Not => !nodes[fanin[0] as usize],
-                OpCode::And => words.fold(!0, |a, w| a & w),
-                OpCode::Or => words.fold(0, |a, w| a | w),
-                OpCode::Nand => !words.fold(!0, |a, w| a & w),
-                OpCode::Nor => !words.fold(0, |a, w| a | w),
-                OpCode::Xor => words.fold(0, |a, w| a ^ w),
-                OpCode::Xnor => !words.fold(0, |a, w| a ^ w),
+                OpCode::Not => nodes[fanin[0] as usize].map(|w| !w),
+                OpCode::And => fold_lanes(nodes, fanin, !0, |a, w| a & w),
+                OpCode::Or => fold_lanes(nodes, fanin, 0, |a, w| a | w),
+                OpCode::Nand => fold_lanes(nodes, fanin, !0, |a, w| a & w).map(|w| !w),
+                OpCode::Nor => fold_lanes(nodes, fanin, 0, |a, w| a | w).map(|w| !w),
+                OpCode::Xor => fold_lanes(nodes, fanin, 0, |a, w| a ^ w),
+                OpCode::Xnor => fold_lanes(nodes, fanin, 0, |a, w| a ^ w).map(|w| !w),
             };
-            nodes[i] = value;
         }
     }
 
@@ -689,19 +698,20 @@ impl FlatKernel {
 
 /// `f` applied lane by lane to two lane vectors.
 #[inline(always)]
-fn zip_lanes<const L: usize>(a: &[f32; L], b: &[f32; L], f: impl Fn(f32, f32) -> f32) -> [f32; L] {
+fn zip_lanes<T: Copy, const L: usize>(a: &[T; L], b: &[T; L], f: impl Fn(T, T) -> T) -> [T; L] {
     std::array::from_fn(|l| f(a[l], b[l]))
 }
 
-/// Folds the activations of `fanin` into one lane vector, starting every
-/// lane at `init` and combining in fan-in order.
+/// Folds the values of `fanin` (soft activations or hard words) into one
+/// lane vector, starting every lane at `init` and combining in fan-in
+/// order.
 #[inline(always)]
-fn fold_lanes<const L: usize>(
-    acts: &[[f32; L]],
+fn fold_lanes<T: Copy, const L: usize>(
+    acts: &[[T; L]],
     fanin: &[u32],
-    init: f32,
-    f: impl Fn(f32, f32) -> f32,
-) -> [f32; L] {
+    init: T,
+    f: impl Fn(T, T) -> T,
+) -> [T; L] {
     fanin
         .iter()
         .fold([init; L], |acc, &j| zip_lanes(&acc, &acts[j as usize], &f))
@@ -815,17 +825,21 @@ mod tests {
         // ones and must not leak into the low lanes.
         let c = all_gates_circuit();
         let kernel = FlatKernel::compile(&c);
-        let inputs: Vec<u64> = (0..4)
-            .map(|col| (0..16).fold(!0u64 << 16, |w, lane| w | ((lane >> col) & 1) << lane))
+        let inputs: Vec<[u64; 1]> = (0..4)
+            .map(|col| [(0..16).fold(!0u64 << 16, |w, lane| w | ((lane >> col) & 1) << lane)])
             .collect();
-        let mut nodes = vec![0u64; kernel.num_nodes()];
+        let mut nodes = vec![[0u64]; kernel.num_nodes()];
         kernel.forward_words(&inputs, &mut nodes);
         let mut ws = kernel.workspace();
         for lane in 0..16 {
             let corner: Vec<f32> = (0..4).map(|col| ((lane >> col) & 1) as f32).collect();
             kernel.forward(&corner, &mut ws);
             for (i, &act) in ws.activations().iter().enumerate() {
-                assert_eq!(nodes[i] >> lane & 1 == 1, act > 0.5, "lane {lane} node {i}");
+                assert_eq!(
+                    nodes[i][0] >> lane & 1 == 1,
+                    act > 0.5,
+                    "lane {lane} node {i}"
+                );
             }
         }
     }
@@ -967,10 +981,9 @@ mod tests {
         assert_eq!(block, LANES * kernel.workspace().bytes());
     }
 
-    #[test]
-    fn a_block_on_a_partial_cone_leaves_out_of_cone_logits_bit_identical() {
-        // Columns 0–2 feed the constrained output; columns 3 and 4 are read
-        // only after it, outside the descend prefix.
+    /// Columns 0–2 feed the constrained output; columns 3 and 4 are read
+    /// only after it, outside the descend prefix.
+    fn partial_cone_circuit() -> SoftCircuit {
         let mut c = SoftCircuit::new(5);
         let a = c.input(0);
         let b = c.input(1);
@@ -981,6 +994,12 @@ mod tests {
         let y = c.input(3);
         let z = c.input(4);
         c.gate(SoftGate::Or, vec![y, z, out]);
+        c
+    }
+
+    #[test]
+    fn a_block_on_a_partial_cone_leaves_out_of_cone_logits_bit_identical() {
+        let c = partial_cone_circuit();
         let kernel = FlatKernel::compile(&c);
         assert_eq!((kernel.descend_nodes(), kernel.descend_inputs()), (5, 3));
 
@@ -1021,6 +1040,49 @@ mod tests {
             }
             assert_eq!(bits(&after[..3]), bits(&cone), "row {r}");
             assert_ne!(bits(&after[..3]), bits(&before[..3]), "row {r} descended");
+        }
+    }
+
+    /// `rows` through `fused_gd_block::<L>` in blocks of `L` (the last one
+    /// partial), three iterations each: the logits' bits and each row's
+    /// loss bits.
+    fn descend_in_blocks<const L: usize>(
+        kernel: &FlatKernel,
+        rows: &BatchMatrix,
+    ) -> (Vec<u32>, Vec<u64>) {
+        let n = kernel.num_inputs();
+        let mut logits = rows.as_slice().to_vec();
+        let mut ws = kernel.lane_workspace::<L>();
+        let mut losses = Vec::new();
+        for block in logits.chunks_mut(L * n) {
+            let loss = kernel.fused_gd_block(block, 10.0, 3, || false, ops::embed_logit, &mut ws);
+            losses.extend(loss[..block.len() / n].iter().map(|l| l.to_bits()));
+        }
+        (bits(&logits), losses)
+    }
+
+    #[test]
+    fn the_lane_count_changes_no_bit_of_any_row() {
+        // `LANES` is a performance constant only: every row ends the same
+        // through one-, 16- and 32-lane blocks, full or partial.
+        for c in [all_gates_circuit(), partial_cone_circuit()] {
+            let kernel = FlatKernel::compile(&c);
+            for batch in [1, 31, 33] {
+                let rows = BatchMatrix::from_fn(batch, c.num_inputs(), |b, w| {
+                    ((b * 7 + w * 5) % 41) as f32 * 0.25 - 5.0
+                });
+                let one = descend_in_blocks::<1>(&kernel, &rows);
+                assert_eq!(
+                    descend_in_blocks::<16>(&kernel, &rows),
+                    one,
+                    "batch {batch}"
+                );
+                assert_eq!(
+                    descend_in_blocks::<32>(&kernel, &rows),
+                    one,
+                    "batch {batch}"
+                );
+            }
         }
     }
 

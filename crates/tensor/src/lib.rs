@@ -12,7 +12,8 @@
 //! equivalent substrate in pure Rust:
 //!
 //! * [`BatchMatrix`] — a dense row-major `[batch, width]` `f32` matrix, whose
-//!   [`BatchMatrix::sign_words`] hardens 64 rows into one `u64` per column,
+//!   [`BatchMatrix::sign_words`] hardens `64 * W` rows into one `[u64; W]`
+//!   per column ([`GROUP_ROWS`] rows for the samplers' hard pass),
 //! * [`ops`] — the soft gate forward rules and their derivatives,
 //! * [`SoftCircuit`] — a topologically ordered differentiable circuit with a
 //!   reverse-mode gradient pass for one row (the reference implementation,
@@ -68,6 +69,6 @@ pub mod ops;
 
 pub use backend::Backend;
 pub use circuit::{NodeIdx, SoftCircuit, SoftGate, SoftNode};
-pub use flat::{FlatKernel, Workspace, LANES};
+pub use flat::{FlatKernel, Workspace, GROUP_ROWS, GROUP_WORDS, LANES};
 pub use matrix::BatchMatrix;
 pub use memory::MemoryModel;

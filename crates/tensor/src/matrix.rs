@@ -104,22 +104,23 @@ impl BatchMatrix {
         self.data.chunks(self.width)
     }
 
-    /// The signs of up to 64 rows from row `first` on, one `u64` per
-    /// column: bit `j` of word `c` is set when column `c` of row
-    /// `first + j` is above zero (`> 0.0`, so NaN and `-0.0` give 0).
-    /// Returns the words and how many rows they hold: 64, or fewer at the
-    /// end of the matrix. The bits above that count are zero.
+    /// The signs of up to `64 * W` rows from row `first` on, one `[u64; W]`
+    /// per column: bit `j` of word `w` of column `c` is set when column `c`
+    /// of row `first + 64 * w + j` is above zero (`> 0.0`, so NaN and
+    /// `-0.0` give 0). Returns the words and how many rows they hold:
+    /// `64 * W`, or fewer at the end of the matrix. The bits above that
+    /// count are zero.
     ///
     /// # Panics
     ///
     /// Panics if `first` is not a row of the matrix.
-    pub fn sign_words(&self, first: usize) -> (Vec<u64>, usize) {
+    pub fn sign_words<const W: usize>(&self, first: usize) -> (Vec<[u64; W]>, usize) {
         assert!(first < self.batch, "row {first} lies beyond the batch");
-        let rows = (self.batch - first).min(u64::BITS as usize);
-        let mut words = vec![0u64; self.width];
-        for lane in 0..rows {
-            for (bits, &v) in words.iter_mut().zip(self.row(first + lane)) {
-                *bits |= u64::from(v > 0.0) << lane;
+        let rows = (self.batch - first).min(W * u64::BITS as usize);
+        let mut words = vec![[0u64; W]; self.width];
+        for r in 0..rows {
+            for (column, &v) in words.iter_mut().zip(self.row(first + r)) {
+                column[r / 64] |= u64::from(v > 0.0) << (r % 64);
             }
         }
         (words, rows)
@@ -165,9 +166,12 @@ mod tests {
             1 => -0.0,
             _ => f32::NAN,
         });
-        assert_eq!(m.sign_words(0), (vec![0, 0, 0], 64));
-        assert_eq!(m.sign_words(64), (vec![0b11_1000, 0, 0], 6));
-        assert_eq!(m.sign_words(5), (vec![!0 << 62, 0, 0], 64));
+        assert_eq!(m.sign_words(0), (vec![[0], [0], [0]], 64));
+        assert_eq!(m.sign_words(64), (vec![[0b11_1000], [0], [0]], 6));
+        assert_eq!(m.sign_words(5), (vec![[!0 << 62], [0], [0]], 64));
+        // Two words from row 5: rows 5..=68, then the last row, 69.
+        let two = (vec![[!0 << 62, 1], [0; 2], [0; 2]], 65);
+        assert_eq!(m.sign_words::<2>(5), two);
     }
 
     #[test]

@@ -17,6 +17,9 @@
 //!   gradients and fan-in scratch, each `lanes` values wide), reused for
 //!   every row or block it claims. The fused kernel's workspace holds only
 //!   the descend prefix's nodes and the input columns it reads.
+//! * **Hard-pass buffers** scale with the worker count too: each worker
+//!   holds [`GROUP_WORDS`](crate::GROUP_WORDS) `u64`s per column, node and
+//!   variable of the group of rows it hardens.
 //!
 //! This is the key difference from a GPU resident-activation model: no
 //! step keeps a batch-wide matrix of probabilities, gradients or
@@ -46,15 +49,15 @@ pub struct MemoryModel {
     /// Batch rows each workspace carries side by side: 1 for a per-row
     /// workspace, [`LANES`](crate::LANES) for the sampler's descend blocks.
     pub lanes: usize,
+    /// `u64` words each worker's hard pass holds at once (0: no hard pass).
+    pub hard_words: usize,
 }
 
 impl MemoryModel {
     /// Creates a model for workspaces of `num_nodes` nodes over
     /// `num_inputs` learnable inputs at the given batch size, assuming one
-    /// worker, no fan-in scratch, one-row workspaces and every input held
-    /// in each workspace. Refine with [`MemoryModel::with_workers`],
-    /// [`MemoryModel::with_max_fanin`], [`MemoryModel::with_lanes`] and
-    /// [`MemoryModel::with_workspace_inputs`].
+    /// worker, no fan-in scratch, one-row workspaces, every input held
+    /// in each workspace and no hard pass. Refine with the `with_` methods.
     pub fn new(num_inputs: usize, num_nodes: usize, batch: usize) -> Self {
         MemoryModel {
             num_inputs,
@@ -64,6 +67,7 @@ impl MemoryModel {
             workers: 1,
             max_fanin: 0,
             lanes: 1,
+            hard_words: 0,
         }
     }
 
@@ -95,6 +99,13 @@ impl MemoryModel {
         self
     }
 
+    /// Sets how many `u64` words each worker's hard pass holds at once.
+    #[must_use]
+    pub fn with_hard_words(mut self, hard_words: usize) -> Self {
+        self.hard_words = hard_words;
+        self
+    }
+
     /// Bytes used by persistent batch-wide buffers: the in-place logit
     /// matrix (`[batch, inputs]` f32) plus the hardened bit per entry.
     pub fn persistent_bytes(&self) -> u64 {
@@ -114,9 +125,14 @@ impl MemoryModel {
         self.workers as u64 * self.lanes as u64 * per_lane * 4
     }
 
+    /// Bytes of the per-worker hard-pass buffers, whatever the batch.
+    pub fn hard_bytes(&self) -> u64 {
+        self.workers as u64 * self.hard_words as u64 * 8
+    }
+
     /// Total modelled bytes.
     pub fn total_bytes(&self) -> u64 {
-        self.persistent_bytes() + self.workspace_bytes()
+        self.persistent_bytes() + self.workspace_bytes() + self.hard_bytes()
     }
 
     /// Total modelled mebibytes, the unit used in the paper's figure.
@@ -167,6 +183,19 @@ mod tests {
     }
 
     #[test]
+    fn hard_pass_words_are_counted_per_worker() {
+        let m = MemoryModel::new(100, 1000, 256).with_workers(3);
+        let hard = m.with_hard_words(4 * 2000);
+        assert_eq!(hard.hard_bytes(), 3 * 4 * 2000 * 8);
+        assert_eq!(hard.total_bytes() - m.total_bytes(), hard.hard_bytes());
+        let huge_batch = MemoryModel {
+            batch: 1 << 20,
+            ..hard
+        };
+        assert_eq!(huge_batch.hard_bytes(), hard.hard_bytes());
+    }
+
+    #[test]
     fn fanin_scratch_is_counted() {
         let narrow = MemoryModel::new(10, 100, 10).with_max_fanin(2);
         let wide = MemoryModel::new(10, 100, 10).with_max_fanin(64);
@@ -177,8 +206,10 @@ mod tests {
     fn component_breakdown_sums_to_total() {
         let m = MemoryModel::new(64, 256, 128)
             .with_workers(4)
-            .with_max_fanin(8);
-        assert_eq!(m.total_bytes(), m.persistent_bytes() + m.workspace_bytes());
+            .with_max_fanin(8)
+            .with_hard_words(40);
+        let parts = m.persistent_bytes() + m.workspace_bytes() + m.hard_bytes();
+        assert_eq!(m.total_bytes(), parts);
         assert!(m.total_mib() > 0.0);
     }
 

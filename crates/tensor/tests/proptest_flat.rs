@@ -1,5 +1,6 @@
 //! Property tests: the flat fused kernel is bit-identical to the reference
-//! `SoftCircuit` on random circuits.
+//! `SoftCircuit` on random circuits, and its hard-logic pass over a group of
+//! words equals one-word passes.
 
 use htsat_tensor::{ops, FlatKernel, SoftCircuit, SoftGate};
 use proptest::prelude::*;
@@ -128,5 +129,27 @@ proptest! {
 
         prop_assert_eq!(ref_loss.to_bits(), fused_loss.to_bits());
         prop_assert_eq!(ref_logits, fused_logits);
+    }
+
+    #[test]
+    fn a_group_of_words_evaluates_as_one_word_at_a_time(
+        specs in arb_specs(),
+        constraints in arb_constraints(),
+        words in prop::collection::vec(any::<u64>(), 4 * NUM_INPUTS),
+    ) {
+        let circuit = build_circuit(NUM_INPUTS, &specs, &constraints);
+        let kernel = FlatKernel::compile(&circuit);
+        // Random bits in every lane and word stand in for the unused lanes
+        // of a partial group.
+        let inputs: Vec<[u64; 4]> = words.as_chunks().0.to_vec();
+        let mut group = vec![[0u64; 4]; kernel.num_nodes()];
+        kernel.forward_words(&inputs, &mut group);
+        for w in 0..4 {
+            let alone: Vec<[u64; 1]> = inputs.iter().map(|g| [g[w]]).collect();
+            let mut nodes = vec![[!0u64]; kernel.num_nodes()];
+            kernel.forward_words(&alone, &mut nodes);
+            let column: Vec<[u64; 1]> = group.iter().map(|g| [g[w]]).collect();
+            prop_assert_eq!(column, nodes, "word {}", w);
+        }
     }
 }
