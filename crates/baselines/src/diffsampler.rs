@@ -167,7 +167,6 @@ impl RoundSource for DiffSamplerSession {
                 for v in row.iter_mut() {
                     *v = row_rng.gen_range(-scale..=scale);
                 }
-                0.0
             });
         self.kernel.descend(
             &mut self.logits,

@@ -11,11 +11,10 @@
 //! cargo run --release -p htsat-bench --bin repro -- bench-diff old.json new.json --threshold 10
 //! ```
 //!
-//! Subcommands: `table2`, `fig2`, `fig3-iters`, `fig3-mem`, `fig4-speedup`,
-//! `fig4-ops`, `fig4-transform`, `fig4`, `threads`, `serve-bench`, `bench`,
-//! `bench-diff`, `bench-degrade`, `stats`, `trace`, `all`. Each subcommand
-//! accepts only its own flags (see `htsat_bench::cli`); a stray flag exits
-//! non-zero naming the valid ones.
+//! Subcommands: `table2`, `fig2`, `fig3-iters`, `fig3-mem`, `fig4`,
+//! `threads`, `serve-bench`, `bench`, `bench-diff`, `bench-degrade`,
+//! `stats`, `trace`, `all`. Each subcommand accepts only its own flags (see
+//! `htsat_bench::cli`); a stray flag exits non-zero naming the valid ones.
 //!
 //! `serve-bench` starts the `htsat-serve` daemon on a loopback ephemeral
 //! port, measures cold-load vs registry-hit round-trip latency, and fails

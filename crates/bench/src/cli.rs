@@ -25,7 +25,7 @@ pub enum Command {
     Fig3Iters(RunOptions),
     /// `fig3-mem` — modelled memory vs batch size.
     Fig3Mem(RunOptions),
-    /// `fig4` and its column aliases.
+    /// `fig4` — backend speedup, ops reduction and transformation time.
     Fig4(RunOptions),
     /// `threads` — the thread-scaling sweep; `--out` folds the points into
     /// a bench artifact.
@@ -118,9 +118,6 @@ const SUBCOMMANDS: &[(&str, &[&str])] = &[
     ("fig3-iters", RUN_FLAGS),
     ("fig3-mem", RUN_FLAGS),
     ("fig4", RUN_FLAGS),
-    ("fig4-speedup", RUN_FLAGS),
-    ("fig4-ops", RUN_FLAGS),
-    ("fig4-transform", RUN_FLAGS),
     ("threads", THREADS_FLAGS),
     ("serve-bench", SERVE_BENCH_FLAGS),
     ("all", FIG2_FLAGS),
@@ -455,7 +452,7 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Command, String> 
             expect_positionals(0, "")?;
             Ok(Command::Fig3Mem(options))
         }
-        "fig4" | "fig4-speedup" | "fig4-ops" | "fig4-transform" => {
+        "fig4" => {
             expect_positionals(0, "")?;
             Ok(Command::Fig4(options))
         }

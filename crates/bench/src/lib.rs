@@ -9,9 +9,7 @@
 //! | Fig. 2 (latency vs unique solutions) | [`fig2`] | `fig2` |
 //! | Fig. 3 left (solutions vs iterations) | [`fig3_iterations`] | `fig3-iters` |
 //! | Fig. 3 right (memory vs batch size) | [`fig3_memory`] | `fig3-mem` |
-//! | Fig. 4 left (parallel-vs-serial speedup) | [`fig4_speedup`] | `fig4-speedup` |
-//! | Fig. 4 middle (ops reduction) | [`fig4_ops`] | `fig4-ops` |
-//! | Fig. 4 right (transformation time) | [`fig4_transform`] | `fig4-transform` |
+//! | Fig. 4 (parallel-vs-serial speedup, ops reduction, transformation time) | [`fig4`] | `fig4` |
 //!
 //! Absolute numbers differ from the paper (our "GPU" is the `htsat-runtime`
 //! thread pool, our baselines are re-implementations), but the comparisons
@@ -399,7 +397,7 @@ pub fn fig4(options: &RunOptions) -> Vec<Fig4Row> {
         .iter()
         .map(|instance| {
             let parallel = run_gd(instance, options, options.gd_backend());
-            let sequential = run_gd(instance, options, Backend::Sequential);
+            let sequential = run_gd(instance, options, Backend::Threads(1));
             let stats = transform(&instance.cnf)
                 .map(|t| {
                     let cone = t.netlist.constrained_cone();
@@ -428,30 +426,6 @@ pub fn fig4(options: &RunOptions) -> Vec<Fig4Row> {
         .collect()
 }
 
-/// Convenience alias of [`fig4`] exposing only the speedup column.
-pub fn fig4_speedup(options: &RunOptions) -> Vec<(String, f64)> {
-    fig4(options)
-        .into_iter()
-        .map(|r| (r.instance, r.speedup))
-        .collect()
-}
-
-/// Convenience alias of [`fig4`] exposing only the ops-reduction column.
-pub fn fig4_ops(options: &RunOptions) -> Vec<(String, f64)> {
-    fig4(options)
-        .into_iter()
-        .map(|r| (r.instance, r.ops_reduction))
-        .collect()
-}
-
-/// Convenience alias of [`fig4`] exposing only the transformation time.
-pub fn fig4_transform(options: &RunOptions) -> Vec<(String, f64)> {
-    fig4(options)
-        .into_iter()
-        .map(|r| (r.instance, r.transform_seconds))
-        .collect()
-}
-
 /// One measurement of the thread-scaling sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThreadsPoint {
@@ -466,7 +440,7 @@ pub struct ThreadsPoint {
 }
 
 /// Runs the gradient-descent sampler on the ablation instances at each
-/// requested worker-thread count — the executor's scaling curve, and the
+/// requested worker-thread count — the backend's scaling curve, and the
 /// measurement behind `docs/BASELINES.md`.
 pub fn threads_sweep(options: &RunOptions, counts: &[usize]) -> Vec<ThreadsPoint> {
     let mut points = Vec::new();

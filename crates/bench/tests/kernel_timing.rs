@@ -17,7 +17,7 @@ fn round_time_ms(cnf: &htsat_cnf::Cnf, iterations: usize) -> f64 {
     let config = SamplerConfig {
         batch_size: 512,
         iterations,
-        backend: Backend::Sequential,
+        backend: Backend::Threads(1),
         ..SamplerConfig::default()
     };
     let mut sampler = GdSampler::new(cnf, config).expect("build");

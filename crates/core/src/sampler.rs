@@ -74,9 +74,9 @@ pub struct SamplerConfig {
     pub iterations: usize,
     /// Learning rate γ (the paper uses 10). Must be positive and finite.
     pub learning_rate: f32,
-    /// Execution backend for the batch dimension: `Sequential` (the CPU
-    /// baseline) or `Threads(n)` (the runtime pool, the GPU stand-in and the
-    /// default).
+    /// Execution backend for the batch dimension: `Threads(n)` workers (the
+    /// GPU stand-in; `Threads(0)`, one per core, is the default and
+    /// `Threads(1)` the CPU baseline).
     pub backend: Backend,
     /// Seed of the sampler's RNG (logit initialisation and free variables).
     pub seed: u64,
@@ -302,12 +302,15 @@ impl PreparedFormula {
     pub fn sampler(&self, mut config: SamplerConfig) -> Result<GdSampler, TransformError> {
         config.transform = self.transform_config.clone();
         validate_sampler_config(&config)?;
-        Ok(GdSampler::from_parts(
-            self.cnf.clone(),
-            self.transform.clone(),
-            self.compiled.clone(),
+        Ok(GdSampler {
+            cnf: self.cnf.clone(),
+            transform: self.transform.clone(),
+            compiled: self.compiled.clone(),
+            rng: SmallRng::seed_from_u64(config.seed),
+            seen: HashSet::new(),
+            logits: BatchMatrix::zeros(config.batch_size, self.compiled.num_inputs()),
             config,
-        ))
+        })
     }
 }
 
@@ -414,35 +417,7 @@ impl GdSampler {
     /// initialisation scale).
     pub fn new(cnf: &Cnf, config: SamplerConfig) -> Result<Self, TransformError> {
         validate_sampler_config(&config)?;
-        let transform = transform_with_config(cnf, &config.transform)?;
-        let compiled = compile(&transform);
-        Ok(GdSampler::from_parts(
-            Arc::new(cnf.clone()),
-            Arc::new(transform),
-            Arc::new(compiled),
-            config,
-        ))
-    }
-
-    /// Assembles a sampler from already-built artifacts. The configuration
-    /// must have been validated and the artifacts must belong to `cnf`.
-    fn from_parts(
-        cnf: Arc<Cnf>,
-        transform: Arc<TransformResult>,
-        compiled: Arc<CompiledCircuit>,
-        config: SamplerConfig,
-    ) -> Self {
-        let rng = SmallRng::seed_from_u64(config.seed);
-        let logits = BatchMatrix::zeros(config.batch_size, compiled.num_inputs());
-        GdSampler {
-            cnf,
-            transform,
-            compiled,
-            config,
-            rng,
-            seen: HashSet::new(),
-            logits,
-        }
+        PreparedFormula::prepare(cnf, &config.transform)?.sampler(config)
     }
 
     /// The transformation result backing this sampler.
@@ -499,7 +474,6 @@ impl GdSampler {
                 for v in row.iter_mut() {
                     *v = row_rng.gen_range(-scale..=scale);
                 }
-                0.0
             });
         }
 
@@ -663,7 +637,7 @@ mod tests {
     #[test]
     fn sequential_and_parallel_backends_both_work() {
         let cnf = mux_constrained_cnf();
-        for backend in [Backend::Sequential, Backend::Threads(2)] {
+        for backend in [Backend::Threads(1), Backend::Threads(2)] {
             let config = SamplerConfig {
                 backend,
                 batch_size: 64,

@@ -64,5 +64,5 @@ pub use logging::{log_enabled, max_level, set_max_level, write_log, Level};
 pub use metrics::{global, Counter, Gauge, Histogram, Registry, HISTOGRAM_BUCKETS};
 pub use snapshot::{HistogramSnapshot, Snapshot, SNAPSHOT_SCHEMA};
 pub use span::{SpanGuard, SpanMeter};
-pub use time::{measure, Stopwatch};
+pub use time::Stopwatch;
 pub use trace::{TraceId, TraceReport, TRACE_SCHEMA};

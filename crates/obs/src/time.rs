@@ -1,35 +1,25 @@
 //! Timing helpers — the single timing substrate of the workspace.
 //!
-//! The bench harness separates *warmup* from *timed* phases and measures
-//! each invocation with a monotonic stopwatch. These helpers centralize the
-//! two idioms every measurement site in the workspace repeats — "time this
-//! closure" and "take successive laps" — so harness code never touches
-//! `Instant` arithmetic directly. The span API ([`crate::SpanGuard`]) is
-//! built on the same [`Stopwatch`], so bench timing and live telemetry read
-//! the clock identically.
+//! The span API ([`crate::SpanGuard`]) is built on [`Stopwatch`], so every
+//! span reads the clock the same way.
 
 use std::time::{Duration, Instant};
 
 /// A monotonic stopwatch over [`Instant`].
 ///
 /// `Stopwatch` cannot be paused — it models wall-clock measurement windows,
-/// not CPU accounting. [`Stopwatch::lap`] returns the time since the last
-/// lap (or start) and advances the lap marker, so successive phases of one
-/// run can be attributed without re-reading the clock twice per boundary.
+/// not CPU accounting.
 #[derive(Debug, Clone)]
 pub struct Stopwatch {
     started: Instant,
-    last_lap: Instant,
 }
 
 impl Stopwatch {
     /// Starts a stopwatch now.
     #[must_use]
     pub fn start() -> Self {
-        let now = Instant::now();
         Stopwatch {
-            started: now,
-            last_lap: now,
+            started: Instant::now(),
         }
     }
 
@@ -37,55 +27,5 @@ impl Stopwatch {
     #[must_use]
     pub fn elapsed(&self) -> Duration {
         self.started.elapsed()
-    }
-
-    /// Time since the previous lap (or since start for the first lap), and
-    /// advances the lap marker.
-    pub fn lap(&mut self) -> Duration {
-        let now = Instant::now();
-        let lap = now.duration_since(self.last_lap);
-        self.last_lap = now;
-        lap
-    }
-}
-
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Stopwatch::start()
-    }
-}
-
-/// Runs a closure and returns its result together with the wall-clock time
-/// it took.
-pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let sw = Stopwatch::start();
-    let value = f();
-    (value, sw.elapsed())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn measure_returns_value_and_nonzero_duration() {
-        let (value, took) = measure(|| {
-            std::thread::sleep(Duration::from_millis(2));
-            42
-        });
-        assert_eq!(value, 42);
-        assert!(took >= Duration::from_millis(2));
-    }
-
-    #[test]
-    fn laps_partition_the_total() {
-        let mut sw = Stopwatch::start();
-        std::thread::sleep(Duration::from_millis(1));
-        let a = sw.lap();
-        std::thread::sleep(Duration::from_millis(1));
-        let b = sw.lap();
-        assert!(a >= Duration::from_millis(1));
-        assert!(b >= Duration::from_millis(1));
-        assert!(sw.elapsed() >= a + b);
     }
 }

@@ -1,183 +1,58 @@
-//! The [`Executor`] contract and its single-threaded reference
-//! implementation.
-
-use std::ops::Range;
-
-/// An execution strategy for embarrassingly parallel, index-addressed work.
-///
-/// The methods cover the workspace's needs: [`Executor::reduce_rows_with`]
-/// is the shape of a batched kernel with per-worker scratch state (each
-/// batch row mutated independently, one scalar reduced across the batch,
-/// one workspace per worker per parallel region), [`Executor::reduce_rows`]
-/// is its stateless convenience wrapper, and [`Executor::map_indices`] is
-/// the shape of a batched collection (one value per index, order preserved).
-///
-/// Implementations must be *order-transparent*: `map_indices` returns results
-/// in index order and `reduce_rows`/`reduce_rows_with` visit every row
-/// exactly once, so for a pure `f` every executor produces the same output.
-/// The workspace handed to `f` must therefore never leak information between
-/// rows — kernels must fully overwrite whatever scratch they read. The
-/// floating-point sum returned by the reductions is accumulated per chunk
-/// and then in chunk order, so it is deterministic for a fixed executor but
-/// may differ in the last bits between executors with different chunking.
-pub trait Executor {
-    /// Number of worker threads this executor uses (1 for sequential).
-    fn threads(&self) -> usize;
-
-    /// Runs `f(row_index, row, workspace)` over every `width`-sized row of
-    /// `rows`, mutating rows in place, and returns the sum of the per-row
-    /// results.
-    ///
-    /// `init` builds one workspace **per worker thread per parallel
-    /// region** — not per row. This is the executor entry point for
-    /// allocation-free kernels: a worker claims rows until the region
-    /// drains, reusing the same workspace for every row it visits.
-    ///
-    /// Returns `0.0` when `width == 0` (no rows, no workspaces).
-    fn reduce_rows_with<W, I, F>(&self, rows: &mut [f32], width: usize, init: I, f: F) -> f64
-    where
-        W: Send,
-        I: Fn() -> W + Send + Sync,
-        F: Fn(usize, &mut [f32], &mut W) -> f64 + Send + Sync;
-
-    /// Runs `f(row_index, row)` over every `width`-sized row of `rows`,
-    /// mutating rows in place, and returns the sum of the per-row results.
-    ///
-    /// Returns `0.0` when `width == 0`.
-    fn reduce_rows<F>(&self, rows: &mut [f32], width: usize, f: F) -> f64
-    where
-        F: Fn(usize, &mut [f32]) -> f64 + Send + Sync,
-    {
-        self.reduce_rows_with(rows, width, || (), |i, row, (): &mut ()| f(i, row))
-    }
-
-    /// Maps `f` over `0..n` and collects the results in index order.
-    fn map_indices<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Send + Sync;
-}
-
-/// Runs everything inline on the calling thread.
-///
-/// This is both the `threads == 1` short-circuit of [`crate::ThreadPool`]
-/// and the reference implementation the pool is tested against.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SequentialExecutor;
-
-impl Executor for SequentialExecutor {
-    fn threads(&self) -> usize {
-        1
-    }
-
-    fn reduce_rows_with<W, I, F>(&self, rows: &mut [f32], width: usize, init: I, f: F) -> f64
-    where
-        W: Send,
-        I: Fn() -> W + Send + Sync,
-        F: Fn(usize, &mut [f32], &mut W) -> f64 + Send + Sync,
-    {
-        if width == 0 {
-            return 0.0;
-        }
-        let mut workspace = init();
-        rows.chunks_mut(width)
-            .enumerate()
-            .map(|(i, row)| f(i, row, &mut workspace))
-            .sum()
-    }
-
-    fn map_indices<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Send + Sync,
-    {
-        (0..n).map(f).collect()
-    }
-}
-
-/// Splits `0..n` into `chunks` contiguous ranges whose lengths differ by at
-/// most one (the first `n % chunks` ranges are the longer ones).
-///
-/// Returns fewer than `chunks` ranges when `n < chunks`, and an empty vector
-/// when `n == 0`.
-#[must_use]
-pub(crate) fn chunk_ranges(n: usize, chunks: usize) -> Vec<Range<usize>> {
-    if n == 0 || chunks == 0 {
-        return Vec::new();
-    }
-    let chunks = chunks.min(n);
-    let base = n / chunks;
-    let extra = n % chunks;
-    let mut ranges = Vec::with_capacity(chunks);
-    let mut start = 0;
-    for i in 0..chunks {
-        let len = base + usize::from(i < extra);
-        ranges.push(start..start + len);
-        start += len;
-    }
-    debug_assert_eq!(start, n);
-    ranges
-}
+//! Tests of [`Backend`](crate::Backend) at one worker: a `Threads(1)`
+//! region runs every row on the calling thread, in order, with a single
+//! workspace.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::Backend;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::thread;
 
-    #[test]
-    fn chunk_ranges_cover_everything_once() {
-        for n in [0usize, 1, 2, 7, 64, 1000] {
-            for chunks in [1usize, 2, 3, 8, 33] {
-                let ranges = chunk_ranges(n, chunks);
-                let mut covered = vec![false; n];
-                for r in &ranges {
-                    for i in r.clone() {
-                        assert!(!covered[i], "index {i} covered twice");
-                        covered[i] = true;
-                    }
-                }
-                assert!(covered.iter().all(|&c| c), "n={n} chunks={chunks}");
-                if n > 0 {
-                    assert_eq!(ranges.len(), chunks.min(n));
-                    let lens: Vec<usize> = ranges.iter().map(Range::len).collect();
-                    let (min, max) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
-                    assert!(max - min <= 1, "unbalanced: {lens:?}");
-                }
-            }
-        }
-    }
+    const ONE: Backend = Backend::Threads(1);
 
     #[test]
     fn sequential_reduce_rows_sums_and_mutates() {
+        let caller = thread::current().id();
         let width = 3;
         let mut rows = vec![1.0f32; 4 * width];
-        let total = SequentialExecutor.reduce_rows(&mut rows, width, |i, row| {
+        ONE.for_each_row(&mut rows, width, |i, row| {
+            assert_eq!(thread::current().id(), caller, "row {i} left the caller");
             row[0] = i as f32;
-            f64::from(row.iter().sum::<f32>())
+            let sum: f32 = row.iter().sum();
+            row[width - 1] = sum;
         });
-        assert_eq!(rows[width], 1.0);
-        assert!((total - (0.0 + 1.0 + 2.0 + 3.0 + 4.0 * 2.0)).abs() < 1e-9);
+        assert_eq!(rows[width..2 * width], [1.0, 1.0, 3.0]);
+        let sums: Vec<f32> = rows.chunks(width).map(|row| row[width - 1]).collect();
+        assert_eq!(sums, [2.0, 3.0, 4.0, 5.0]);
     }
 
     #[test]
     fn sequential_map_indices_preserves_order() {
+        let caller = thread::current().id();
         assert_eq!(
-            SequentialExecutor.map_indices(4, |i| i * 10),
+            ONE.map_indices(4, |i| {
+                assert_eq!(thread::current().id(), caller, "index {i} left the caller");
+                i * 10
+            }),
             vec![0, 10, 20, 30]
         );
     }
 
     #[test]
     fn zero_width_reduce_is_zero() {
-        assert_eq!(SequentialExecutor.reduce_rows(&mut [], 0, |_, _| 1.0), 0.0);
+        let visits = AtomicUsize::new(0);
+        ONE.for_each_row(&mut [], 0, |_, _| {
+            visits.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(visits.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn sequential_reduce_rows_with_builds_one_workspace_for_the_region() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let inits = AtomicUsize::new(0);
         let width = 2;
         let mut rows = vec![1.0f32; 8 * width];
-        let total = SequentialExecutor.reduce_rows_with(
+        ONE.for_each_row_with(
             &mut rows,
             width,
             || {
@@ -187,27 +62,24 @@ mod tests {
             |i, row, ws: &mut Vec<f32>| {
                 ws[0] = i as f32;
                 row[0] += ws[0];
-                1.0
             },
         );
         assert_eq!(inits.load(Ordering::Relaxed), 1);
-        assert!((total - 8.0).abs() < 1e-12);
         assert_eq!(rows[3 * width], 1.0 + 3.0);
+        assert_eq!(rows[7 * width], 1.0 + 7.0);
     }
 
     #[test]
     fn zero_width_reduce_with_never_builds_a_workspace() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let inits = AtomicUsize::new(0);
-        let total = SequentialExecutor.reduce_rows_with(
+        ONE.for_each_row_with(
             &mut [],
             0,
             || {
                 inits.fetch_add(1, Ordering::Relaxed);
             },
-            |_, _, ()| 1.0,
+            |_, _, ()| panic!("no rows at zero width"),
         );
-        assert_eq!(total, 0.0);
         assert_eq!(inits.load(Ordering::Relaxed), 0);
     }
 }

@@ -1,23 +1,19 @@
 //! # htsat-runtime
 //!
-//! The execution runtime of the htsat workspace: a dependency-free
-//! `std::thread` scoped thread pool behind an [`Executor`] trait, plus the
-//! generic **streaming sampling service** ([`SampleStream`]) built on top of
-//! it.
+//! The execution runtime of the htsat workspace: the dependency-free
+//! `std::thread` execution [`Backend`], plus the generic **streaming
+//! sampling service** ([`SampleStream`]) built on top of it.
 //!
 //! The paper's headline result is that sampling is *data-parallel*: every
 //! batch element is an independent gradient-descent problem. This crate
 //! supplies that parallelism:
 //!
-//! * [`Executor`] — the abstraction the tensor backend dispatches through:
-//!   run a row-wise kernel over a mutable batch buffer, or map a function
-//!   over indices, partitioned into chunks.
-//! * [`ThreadPool`] — a scoped worker pool. Work is split into a queue of
-//!   contiguous chunks and the workers *claim* chunks through a shared atomic
-//!   cursor, so a slow chunk never stalls the others (counter-based work
-//!   stealing, no external dependencies, no `unsafe`).
-//! * [`SequentialExecutor`] — the same contract on the calling thread, used
-//!   as the single-threaded short-circuit and as the reference in tests.
+//! * [`Backend`] — `Threads(n)` runs a row-wise kernel over a mutable batch
+//!   buffer ([`Backend::for_each_row_with`], one workspace per worker per
+//!   region) or maps a function over indices ([`Backend::map_indices`]).
+//!   Work is cut into contiguous jobs that scoped workers *claim* from one
+//!   shared queue, so a slow job never stalls the others (no external
+//!   dependencies, no `unsafe`).
 //! * [`StopToken`] — a cloneable cancellation flag shared across threads,
 //!   with [`StopSet`] grouping many tokens under one scope (a connection, a
 //!   server) so they can all be fired at once.
@@ -25,45 +21,40 @@
 //!   generator that produces batches ("rounds") of items becomes an
 //!   `Iterator` with incremental deduplication, deadline handling,
 //!   cancellation and progress statistics.
-//! * [`Stopwatch`] / [`measure`] — monotonic timing helpers for measurement
-//!   code (the bench harness's warmup/timed phase separation is built on
-//!   them). Re-exported from `htsat-obs` so bench timing and the `span!`
-//!   telemetry share one substrate.
 //!
-//! The pool and the stream are instrumented through `htsat-obs`
+//! The backend and the stream are instrumented through `htsat-obs`
 //! (`runtime.*` region counters/histograms, `engine.*` stream totals).
 //! Metrics are observer-only — relaxed atomics recorded per region and per
 //! stream, never per row — so instrumented runs stay bit-identical.
 //!
-//! Determinism is a design constraint, not an accident: the executor
-//! preserves index order in [`Executor::map_indices`], and
+//! Determinism is a design constraint, not an accident: the backend
+//! preserves index order in [`Backend::map_indices`], and
 //! [`derive_stream_seed`] gives callers per-row RNG streams so results are
 //! identical for a given seed at *any* thread count.
 //!
 //! # Example
 //!
 //! ```
-//! use htsat_runtime::{Executor, SequentialExecutor, ThreadPool};
+//! use htsat_runtime::Backend;
 //!
-//! let pool = ThreadPool::new(4);
-//! let squares = pool.map_indices(100, |i| i * i);
-//! assert_eq!(squares, SequentialExecutor.map_indices(100, |i| i * i));
+//! let squares = Backend::Threads(4).map_indices(100, |i| i * i);
+//! assert_eq!(squares, (0..100).map(|i| i * i).collect::<Vec<_>>());
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod backend;
+#[cfg(test)]
 mod executor;
+#[cfg(test)]
 mod pool;
 mod stop;
 mod stream;
-mod timing;
 
-pub use executor::{Executor, SequentialExecutor};
-pub use pool::ThreadPool;
+pub use backend::Backend;
 pub use stop::{StopSet, StopToken};
 pub use stream::{unique_throughput, RoundSource, SampleStream, StreamStats, MIN_MEASURABLE_TICK};
-pub use timing::{measure, Stopwatch};
 
 /// Mixes a base seed and a stream index into an independent RNG seed.
 ///

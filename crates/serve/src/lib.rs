@@ -9,7 +9,7 @@
 //! serde): the wire protocol is newline-delimited JSON with a hand-rolled
 //! codec ([`json`]), transport is `std::net::TcpStream`, and request
 //! parallelism comes from `std::thread` plus the workspace's own
-//! [`htsat_runtime::ThreadPool`] underneath each sampler.
+//! [`htsat_runtime::Backend`] underneath each sampler.
 //!
 //! The moving parts:
 //!

@@ -88,8 +88,8 @@ enum OpCode {
 /// activation, as [`FlatKernel::forward`] needs) or
 /// [`FlatKernel::lane_workspace`], then reuse it for every row or block a
 /// worker processes — the kernels fully overwrite whatever they read, so a
-/// workspace carries no state between calls. Executors thread workspaces
-/// through `reduce_rows_with`, building one per worker per parallel region.
+/// workspace carries no state between calls. [`Backend::for_each_row_with`]
+/// threads workspaces through, building one per worker per parallel region.
 #[derive(Debug, Clone)]
 pub struct Workspace<const L: usize = 1> {
     logits: Vec<[f32; L]>,
@@ -380,7 +380,6 @@ impl FlatKernel {
             || self.lane_workspace::<LANES>(),
             |_, block, ws| {
                 self.fused_gd_block(block, learning_rate, iterations, &stopped, &embed, ws);
-                0.0
             },
         );
     }
@@ -1115,11 +1114,7 @@ mod tests {
         assert_ne!(replay(ops::embed_logit), replay(ops::sigmoid));
         for embed in [ops::embed_logit, ops::sigmoid] {
             let expected = replay(embed);
-            for backend in [
-                Backend::Sequential,
-                Backend::Threads(1),
-                Backend::Threads(3),
-            ] {
+            for backend in [Backend::Threads(1), Backend::Threads(3)] {
                 let mut logits = start.clone();
                 kernel.descend(
                     &mut logits,

@@ -25,9 +25,9 @@
 //!   per-worker workspaces. [`FlatKernel::descend`] is the one descent both
 //!   gradient engines run: the transformed circuit's sampler and the
 //!   DiffSampler baseline differ only in the circuit and the embedding,
-//! * [`Backend`] — `Sequential` (the paper's CPU baseline) or `Threads(n)`
-//!   (the [`htsat_runtime`] thread pool across the batch, standing in for
-//!   the GPU),
+//! * [`Backend`] — re-exported from [`htsat_runtime`]: `Threads(n)` workers
+//!   across the batch, standing in for the GPU (`Threads(1)` is the
+//!   paper's CPU baseline),
 //! * [`MemoryModel`] — the memory-usage model behind the paper's Fig. 3.
 //!
 //! # Example
@@ -60,15 +60,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod backend;
 mod circuit;
 mod flat;
 mod matrix;
 mod memory;
 pub mod ops;
 
-pub use backend::Backend;
 pub use circuit::{NodeIdx, SoftCircuit, SoftGate, SoftNode};
 pub use flat::{FlatKernel, Workspace, GROUP_ROWS, GROUP_WORDS, LANES};
+pub use htsat_runtime::Backend;
 pub use matrix::BatchMatrix;
 pub use memory::MemoryModel;
