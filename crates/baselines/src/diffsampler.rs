@@ -169,7 +169,7 @@ impl RoundSource for DiffSamplerSession {
                 }
             });
         self.kernel.descend(
-            &mut self.logits,
+            self.logits.as_mut_slice(),
             self.backend,
             LEARNING_RATE,
             ITERATIONS,
@@ -182,7 +182,7 @@ impl RoundSource for DiffSamplerSession {
         let batch = self.logits.batch();
         self.last_attempts = batch;
         let groups = self.backend.map_indices(batch.div_ceil(GROUP_ROWS), |g| {
-            let (signs, rows) = self.logits.sign_words::<GROUP_WORDS>(g * GROUP_ROWS);
+            let (signs, rows) = self.logits.sign_words::<GROUP_WORDS>(g * GROUP_ROWS..batch);
             self.cnf.satisfying_lanes(&signs, rows)
         });
         groups

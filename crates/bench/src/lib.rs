@@ -799,8 +799,10 @@ const HARDEN_ORACLE_ROWS: usize = GROUP_ROWS + 130;
 
 /// Row-level oracle for the sampler's group-parallel hardening: replays
 /// 386 deterministic logit rows through
-/// [`CompiledCircuit::harden_group`] and, independently, through the scalar
-/// composition the sampler ran before words existed —
+/// [`CompiledCircuit::harden_rows`] (as a full group and a partial one,
+/// then the first group as a first slice cuts it: one [`LANES`]-row block
+/// and the rest) and, independently, through the scalar composition
+/// the sampler ran before words existed —
 /// [`TransformResult::assignment_from_inputs`] with inputs read through
 /// [`CompiledCircuit::column_of`] and free variables from
 /// [`compile::free_value`], then [`Cnf::is_satisfied_by_bits`].
@@ -811,7 +813,8 @@ const HARDEN_ORACLE_ROWS: usize = GROUP_ROWS + 130;
 /// NaN logits, so that most of them do not. A row counts as agreeing when
 /// both paths give it the same validity and, if valid, the same bits.
 ///
-/// Returns the first row on which the two paths disagree, or `None`.
+/// Returns the first row on which the two paths disagree (or that a
+/// range's hard pass returns from outside the range), or `None`.
 pub fn harden_oracle(
     cnf: &Cnf,
     transform: &TransformResult,
@@ -836,20 +839,35 @@ pub fn harden_oracle(
         }
     }
     let free_seed = 0x5eed_f4ee;
-    let mut groups = (0..HARDEN_ORACLE_ROWS.div_ceil(GROUP_ROWS))
-        .flat_map(|group| compiled.harden_group(cnf, &logits, group, free_seed))
-        .peekable();
-    (0..HARDEN_ORACLE_ROWS).find(|&row| {
-        let values = logits.row(row);
-        let bits = transform.assignment_from_inputs(
-            |v| compiled.column_of(v).is_some_and(|c| values[c] > 0.0),
-            |v| compile::free_value(free_seed, row, v),
-        );
-        let scalar = cnf.is_satisfied_by_bits(&bits).then_some(bits);
-        let group = groups
-            .next_if(|(r, _)| *r == row)
-            .map(|(_, solution)| solution.to_bits());
-        scalar != group
+    let scalar: Vec<Option<Vec<bool>>> = (0..HARDEN_ORACLE_ROWS)
+        .map(|row| {
+            let values = logits.row(row);
+            let bits = transform.assignment_from_inputs(
+                |v| compiled.column_of(v).is_some_and(|c| values[c] > 0.0),
+                |v| compile::free_value(free_seed, row, v),
+            );
+            cnf.is_satisfied_by_bits(&bits).then_some(bits)
+        })
+        .collect();
+    let ranges = [
+        0..GROUP_ROWS,
+        GROUP_ROWS..HARDEN_ORACLE_ROWS,
+        0..LANES,
+        LANES..GROUP_ROWS,
+    ];
+    ranges.into_iter().find_map(|rows| {
+        let mut hardened = compiled
+            .harden_rows(cnf, &logits, rows.clone(), free_seed)
+            .into_iter()
+            .peekable();
+        rows.into_iter()
+            .find(|&row| {
+                let word = hardened
+                    .next_if(|(r, _)| *r == row)
+                    .map(|(_, solution)| solution.to_bits());
+                scalar[row] != word
+            })
+            .or_else(|| hardened.next().map(|(row, _)| row))
     })
 }
 

@@ -9,6 +9,7 @@ use htsat_cnf::{Cnf, Solution, Var};
 use htsat_logic::{GateKind, NodeRef};
 use htsat_tensor::{BatchMatrix, FlatKernel, MemoryModel, SoftCircuit, SoftGate};
 use htsat_tensor::{GROUP_ROWS, GROUP_WORDS};
+use std::ops::Range;
 
 /// A compiled differentiable circuit together with the mapping from input
 /// columns back to CNF variables.
@@ -43,9 +44,8 @@ impl CompiledCircuit {
         self.columns.get(var.as_usize()).copied().flatten()
     }
 
-    /// Hardens, reconstructs and validates one group of a logit matrix: the
-    /// rows `GROUP_ROWS * group ..` (up to [`GROUP_ROWS`] of them; fewer in
-    /// a partial last group), each held in one bit lane of
+    /// Hardens, reconstructs and validates the rows `rows` of a logit
+    /// matrix, at most [`GROUP_ROWS`] of them, each held in one bit lane of
     /// [`GROUP_WORDS`] `u64`s.
     ///
     /// 1. Every input column's logits are thresholded into one group of
@@ -66,13 +66,14 @@ impl CompiledCircuit {
     /// # Panics
     ///
     /// Panics if `logits` does not have one column per circuit input, if
-    /// the group lies beyond the matrix, or if `cnf` has more variables
-    /// than the formula this circuit was compiled from.
-    pub fn harden_group(
+    /// `rows` holds more than [`GROUP_ROWS`] rows or ends beyond the
+    /// matrix, or if `cnf` has more variables than the formula this circuit
+    /// was compiled from.
+    pub fn harden_rows(
         &self,
         cnf: &Cnf,
         logits: &BatchMatrix,
-        group: usize,
+        rows: Range<usize>,
         free_seed: u64,
     ) -> Vec<(usize, Solution)> {
         assert_eq!(
@@ -80,8 +81,9 @@ impl CompiledCircuit {
             self.num_inputs(),
             "one logit per input column"
         );
-        let first = group * GROUP_ROWS;
-        let (inputs, rows) = logits.sign_words::<GROUP_WORDS>(first);
+        assert!(rows.len() <= GROUP_ROWS, "at most one group of rows");
+        let first = rows.start;
+        let (inputs, rows) = logits.sign_words::<GROUP_WORDS>(rows);
         let mut nodes = vec![[0u64; GROUP_WORDS]; self.kernel.num_nodes()];
         self.kernel.forward_words(&inputs, &mut nodes);
         let vars: Vec<[u64; GROUP_WORDS]> = self

@@ -25,7 +25,7 @@
 //!
 //! Hardening and validation walk the circuit and the clauses once per
 //! [`GROUP_ROWS`] (256) rows, one bit lane of four `u64` words per row
-//! ([`CompiledCircuit::harden_group`]): thresholded input words go
+//! ([`CompiledCircuit::harden_rows`]): thresholded input words go
 //! through the kernel's hard-logic pass
 //! ([`htsat_tensor::FlatKernel::forward_words`]), every CNF variable
 //! takes its driver node's words, and [`Cnf::satisfying_lanes`] checks
@@ -44,6 +44,12 @@
 //! (stop token) and deadlines. The blocking [`GdSampler::sample`] call is a
 //! thin wrapper that collects the stream.
 //!
+//! A stream runs the sampler's first round in two *slices* (init, descent
+//! and hardening over a range of rows): one [`LANES`]-row block per
+//! worker, so a fresh session's first solutions leave after one block,
+//! then the rest. Each row depends only on its round's two seeds and its
+//! own index, so the solutions are the same as a whole round's, bit for bit.
+//!
 //! Sampling is deterministic in the seed *and independent of the thread
 //! count*: every batch row draws its logits from a private RNG stream
 //! derived with [`htsat_runtime::derive_stream_seed`], and rounds emit rows
@@ -58,7 +64,7 @@ use crate::transform::{transform_with_config, TransformConfig, TransformResult};
 use crate::TransformError;
 use htsat_cnf::{Cnf, Solution};
 use htsat_runtime::{derive_stream_seed, RoundSource, SampleStream, StopToken};
-use htsat_tensor::{ops, Backend, BatchMatrix, MemoryModel, GROUP_ROWS};
+use htsat_tensor::{ops, Backend, BatchMatrix, MemoryModel, GROUP_ROWS, LANES};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -148,8 +154,8 @@ impl SampleReport {
     /// [`crate::SampleEngine::sample`]: drives `stream` until
     /// `min_solutions` unique solutions are taken or it ends (deadline,
     /// stale limit, cancellation), then also delivers the unique solutions
-    /// the final round discovered beyond the target — they were already
-    /// paid for.
+    /// the final round call (a slice of a round, see the module docs)
+    /// discovered beyond the target — they were already paid for.
     pub(crate) fn collect<S: RoundSource<Item = Solution>>(
         mut stream: SampleStream<S>,
         min_solutions: usize,
@@ -309,6 +315,8 @@ impl PreparedFormula {
             rng: SmallRng::seed_from_u64(config.seed),
             seen: HashSet::new(),
             logits: BatchMatrix::zeros(config.batch_size, self.compiled.num_inputs()),
+            cursor: None,
+            last_slice: 0,
             config,
         })
     }
@@ -402,6 +410,18 @@ pub struct GdSampler {
     /// fused kernel updates it in place, so the GD inner loop performs no
     /// per-row (or per-iteration) allocations.
     logits: BatchMatrix,
+    /// The round in progress, `None` between rounds.
+    cursor: Option<RoundCursor>,
+    /// Rows the last slice ran; zero until the first slice runs.
+    last_slice: usize,
+}
+
+/// A round in progress: the seeds it drew at its start, and its next row.
+#[derive(Debug, Clone, Copy)]
+struct RoundCursor {
+    round_seed: u64,
+    free_seed: u64,
+    next: usize,
 }
 
 impl GdSampler {
@@ -452,25 +472,39 @@ impl GdSampler {
             .collect()
     }
 
-    /// Runs one gradient-descent round and returns the valid (but not
-    /// deduplicated) hardened assignments, polling `stop` before every
-    /// gradient-descent iteration of each block and per hardened
-    /// [`GROUP_ROWS`]-row group, and returning early (with an empty or
-    /// partial batch) once it is set.
+    /// Finishes the round in progress, or runs a whole new one, and returns
+    /// its valid (but not deduplicated) hardened assignments, polling `stop`
+    /// before every gradient-descent iteration of each block and per
+    /// hardened [`GROUP_ROWS`]-row group, and returning early (with an
+    /// empty or partial batch) once it is set.
     pub fn sample_round_cancellable(&mut self, stop: &StopToken) -> Vec<Solution> {
-        let batch = self.config.batch_size;
+        self.slice(stop, self.config.batch_size)
+    }
+
+    /// Runs the round in progress, or a new one, up to row `end`. A stopped
+    /// slice is dropped like a stopped round: its rows never come back.
+    fn slice(&mut self, stop: &StopToken, end: usize) -> Vec<Solution> {
         let n = self.compiled.num_inputs();
         let scale = self.config.init_scale;
         let backend = self.config.backend;
-        // One master draw per round; every row then owns a private RNG
-        // stream, so the initialisation (and therefore the produced samples)
-        // is a function of (seed, row) alone — not of the thread count.
-        let round_seed: u64 = self.rng.gen();
-        let logits = &mut self.logits;
+        // Two master draws per round, the logit seed and then the free seed;
+        // every row then owns a private RNG stream, so the initialisation
+        // (and therefore the produced samples) is a function of (seed, row)
+        // alone — not of the thread count or of how the round is sliced.
+        let mut cursor = self.cursor.take().unwrap_or_else(|| RoundCursor {
+            round_seed: self.rng.gen(),
+            free_seed: self.rng.gen(),
+            next: 0,
+        });
+        let rows = cursor.next..end;
+        cursor.next = end;
+        self.cursor = (end < self.config.batch_size).then_some(cursor);
+        self.last_slice = rows.len();
         {
             let _span = htsat_obs::span!("engine.gd.init");
-            backend.for_each_row(logits.as_mut_slice(), n, |b, row| {
-                let mut row_rng = SmallRng::seed_from_u64(derive_stream_seed(round_seed, b));
+            backend.for_each_row(self.logits.row_range_mut(rows.clone()), n, |b, row| {
+                let seed = derive_stream_seed(cursor.round_seed, rows.start + b);
+                let mut row_rng = SmallRng::seed_from_u64(seed);
                 for v in row.iter_mut() {
                     *v = row_rng.gen_range(-scale..=scale);
                 }
@@ -483,7 +517,7 @@ impl GdSampler {
         {
             let _span = htsat_obs::span!("engine.gd.descend");
             self.compiled.kernel.descend(
-                logits,
+                self.logits.row_range_mut(rows.clone()),
                 backend,
                 self.config.learning_rate,
                 self.config.iterations,
@@ -498,13 +532,14 @@ impl GdSampler {
         // Harden, reconstruct full assignments and validate against the
         // CNF, one group of rows per task; valid rows only, in row order.
         let _span = htsat_obs::span!("engine.gd.harden");
-        let free_seed: u64 = self.rng.gen();
-        let groups = backend.map_indices(batch.div_ceil(GROUP_ROWS), |group| {
+        let groups = backend.map_indices(rows.len().div_ceil(GROUP_ROWS), |group| {
             if stop.is_stopped() {
                 return Vec::new();
             }
+            let first = rows.start + group * GROUP_ROWS;
+            let group = first..end.min(first + GROUP_ROWS);
             self.compiled
-                .harden_group(&self.cnf, &self.logits, group, free_seed)
+                .harden_rows(&self.cnf, &self.logits, group, cursor.free_seed)
         });
         groups
             .into_iter()
@@ -561,17 +596,23 @@ impl GdSampler {
 }
 
 /// A [`GdSampler`] is a round source for the runtime's streaming service:
-/// one round is one cancellable gradient-descent batch, and the sampler's
+/// one round call runs one cancellable slice of a gradient-descent batch
+/// (the first round in two, see the module docs), and the sampler's
 /// cross-call dedup memory is lent to the stream for its lifetime.
 impl RoundSource for GdSampler {
     type Item = Solution;
 
     fn round(&mut self, stop: &StopToken) -> Vec<Solution> {
-        self.sample_round_cancellable(stop)
+        let batch = self.config.batch_size;
+        let end = match self.last_slice {
+            0 => batch.min(LANES * self.config.backend.effective_threads()),
+            _ => batch,
+        };
+        self.slice(stop, end)
     }
 
     fn round_size(&self) -> usize {
-        self.config.batch_size
+        self.last_slice
     }
 
     fn take_seen(&mut self) -> HashSet<Solution> {
@@ -588,7 +629,7 @@ mod tests {
     use super::*;
     use htsat_cnf::dimacs;
     use htsat_instances::suite::{table2_instance, SuiteScale};
-    use htsat_tensor::{GROUP_WORDS, LANES};
+    use htsat_tensor::GROUP_WORDS;
 
     fn mux_constrained_cnf() -> Cnf {
         // x5 = MUX(x4; x2, x3) with x5 = 1 and x4 = ¬x1.
@@ -761,6 +802,111 @@ mod tests {
                     large.len() > small.len() && large.starts_with(&small),
                     "threads {threads}, round {round}"
                 );
+            }
+        }
+    }
+
+    /// Rows each round call of a fresh sampler runs: one lane block per
+    /// worker, then the rest of the first round, then whole rounds.
+    fn call_sizes(batch: usize, threads: usize) -> impl Iterator<Item = usize> {
+        let first = batch.min(LANES * threads);
+        [first, batch - first]
+            .into_iter()
+            .filter(|&rows| rows > 0)
+            .chain(std::iter::repeat(batch))
+    }
+
+    /// `rounds` whole rounds of `sampler`, deduplicated in order.
+    fn whole_rounds(sampler: &mut GdSampler, rounds: usize) -> Vec<Solution> {
+        let mut seen = HashSet::new();
+        (0..rounds)
+            .flat_map(|_| sampler.sample_round_cancellable(&StopToken::new()))
+            .filter(|solution| seen.insert(solution.clone()))
+            .collect()
+    }
+
+    const SLICE_BATCHES: [usize; 8] = [1, 31, 32, 33, 64, 65, 256, 300];
+
+    #[test]
+    fn the_first_round_call_runs_one_lane_block_per_worker() {
+        for threads in [1, 3] {
+            for batch in SLICE_BATCHES {
+                let mut sampler = mixed_validity_sampler(batch, threads, 3);
+                let sizes: Vec<usize> = (0..3)
+                    .map(|_| {
+                        sampler.round(&StopToken::new());
+                        sampler.round_size()
+                    })
+                    .collect();
+                let expected: Vec<usize> = call_sizes(batch, threads).take(3).collect();
+                assert_eq!(sizes, expected, "threads {threads}, batch {batch}");
+
+                let mut sampler = mixed_validity_sampler(batch, threads, 3);
+                let mut stream = sampler.stream();
+                stream.next();
+                let stats = *stream.stats();
+                let attempts: usize = call_sizes(batch, threads).take(stats.rounds).sum();
+                assert_eq!(stats.attempts, attempts, "threads {threads}, batch {batch}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_stream_yields_its_whole_rounds_deduplicated_in_order() {
+        for threads in [1, 3] {
+            for batch in SLICE_BATCHES {
+                let label = format!("threads {threads}, batch {batch}");
+                let split = batch > LANES * threads;
+                // After the split first round every call is a whole round.
+                let whole = |calls: usize| calls.saturating_sub(usize::from(split));
+                let mut sampler = mixed_validity_sampler(batch, threads, 5);
+                let mut stream = sampler.stream();
+                let mut items = Vec::new();
+                while whole(stream.stats().rounds) < 4 {
+                    let Some(first) = stream.next() else { break };
+                    items.push(first);
+                    items.append(&mut stream.drain_ready());
+                }
+                let stats = *stream.stats();
+                let attempts: usize = call_sizes(batch, threads).take(stats.rounds).sum();
+                assert_eq!(stats.attempts, attempts, "{label}");
+                drop(stream);
+                let mut reference = mixed_validity_sampler(batch, threads, 5);
+                let expected = whole_rounds(&mut reference, whole(stats.rounds));
+                assert_eq!(items, expected, "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_first_round_cut_short_finishes_in_the_next_stream() {
+        for threads in [1, 3] {
+            for batch in SLICE_BATCHES {
+                let label = format!("threads {threads}, batch {batch}");
+                let mut sampler = mixed_validity_sampler(batch, threads, 9);
+                // The first stream makes one call, found something or not.
+                let mut items: Vec<Solution> = {
+                    let mut stream = sampler.stream().with_stale_limit(1);
+                    let mut items: Vec<Solution> = stream.next().into_iter().collect();
+                    items.append(&mut stream.drain_ready());
+                    assert_eq!(stream.stats().rounds, 1, "{label}");
+                    items
+                };
+                let mut stream = sampler.stream();
+                while stream.stats().rounds < 2 {
+                    let Some(first) = stream.next() else { break };
+                    items.push(first);
+                    items.append(&mut stream.drain_ready());
+                }
+                let stats = *stream.stats();
+                // The second stream's first call finishes the first round.
+                let attempts: usize = call_sizes(batch, threads).skip(1).take(stats.rounds).sum();
+                assert_eq!(stats.attempts, attempts, "{label}");
+                drop(stream);
+                let split = batch > LANES * threads;
+                let mut reference = mixed_validity_sampler(batch, threads, 9);
+                let expected = whole_rounds(&mut reference, stats.rounds + usize::from(!split));
+                assert_eq!(items, expected, "{label}");
             }
         }
     }

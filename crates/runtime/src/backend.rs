@@ -1,7 +1,7 @@
 //! The execution backend: how batch rows are scheduled onto cores.
 
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::thread;
 
 /// How many jobs each worker thread gets on average.
@@ -45,10 +45,16 @@ impl Default for Backend {
 
 impl Backend {
     /// Number of worker threads this backend resolves to on this machine.
+    /// `Threads(0)` reads [`thread::available_parallelism`] (on Linux, a
+    /// parse of the cgroup CPU quota) once per process, so a later change
+    /// of the quota is not seen.
     #[must_use]
     pub fn effective_threads(self) -> usize {
+        static AVAILABLE: OnceLock<usize> = OnceLock::new();
         match self {
-            Backend::Threads(0) => thread::available_parallelism().map_or(1, usize::from),
+            Backend::Threads(0) => {
+                *AVAILABLE.get_or_init(|| thread::available_parallelism().map_or(1, usize::from))
+            }
             Backend::Threads(n) => n,
         }
     }
@@ -360,6 +366,7 @@ mod tests {
         assert_eq!(Backend::default(), Backend::Threads(0));
         let available = thread::available_parallelism().map_or(1, usize::from);
         assert_eq!(Backend::default().effective_threads(), available);
+        assert!(Backend::Threads(0).effective_threads() >= 1, "never zero");
         assert_eq!(Backend::Threads(3).effective_threads(), 3);
     }
 }

@@ -334,11 +334,13 @@ impl<S: RoundSource> SampleStream<S> {
     /// then drains further *already-discovered* items up to the cap without
     /// starting another round.
     ///
-    /// Chunks therefore fall on natural round boundaries, and the
-    /// concatenation of successive `next_batch` calls is **identical** to
-    /// plain iteration — this is what lets a serving layer stream a request
-    /// as incremental chunks while preserving the bit-for-bit determinism
-    /// contract of the underlying sequence. An empty return means the
+    /// Chunks therefore fall on [`RoundSource::round`] call boundaries
+    /// (slice boundaries, which may depend on the thread count, for a
+    /// source that slices its rounds), and the concatenation of successive
+    /// `next_batch` calls is **identical** to plain iteration — this is
+    /// what lets a serving layer stream a request as incremental chunks
+    /// while preserving the bit-for-bit determinism contract of the
+    /// underlying sequence. An empty return means the
     /// stream ended (cancelled, deadline passed, or exhausted).
     pub fn next_batch(&mut self, max: usize) -> Vec<S::Item> {
         let mut chunk = Vec::new();

@@ -13,8 +13,8 @@ use htsat_instances::families;
 use htsat_serve::json::Json;
 use htsat_serve::proto::SampleParams;
 use htsat_serve::registry::RegistryConfig;
-use htsat_serve::{serve, Client, ClientError, ServeConfig};
-use htsat_tensor::Backend;
+use htsat_serve::{serve, Client, ClientError, SampleEvent, ServeConfig};
+use htsat_tensor::{Backend, LANES};
 
 /// A gen_suite-family CNF (the same generator `gen_suite` exports), small
 /// enough for fast rounds but with a real circuit structure.
@@ -90,6 +90,59 @@ fn wire_determinism_matches_in_process_stream_at_1_and_8_threads() {
         })
         .expect("sample with 64-bit seed");
     assert_eq!(reply.solutions, expected, "seed must not round through f64");
+}
+
+#[test]
+fn a_gd_sample_sends_its_first_lane_block_as_its_first_chunk() {
+    let (dimacs_text, cnf) = corpus_instance();
+    let server = start_server();
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    client.hello().expect("hello");
+    let load = client.load_dimacs(None, &dimacs_text).expect("load");
+
+    const SEED: u64 = 17;
+    const N: usize = 4 * LANES;
+    let config = SamplerConfig {
+        seed: SEED,
+        backend: Backend::Threads(1),
+        ..SamplerConfig::default()
+    };
+    let mut reference = GdSampler::new(&cnf, config).expect("build sampler");
+    let expected: Vec<Solution> = reference.stream().take(N).collect();
+    assert_eq!(
+        expected.len(),
+        N,
+        "more solutions than one lane block holds"
+    );
+
+    let id = client
+        .sample_start(&SampleParams {
+            n: N,
+            seed: SEED,
+            threads: Some(1),
+            ..SampleParams::new(load.fingerprint)
+        })
+        .expect("start");
+    let mut chunks = Vec::new();
+    let done = loop {
+        match client.sample_next(id).expect("frame") {
+            SampleEvent::Batch(batch) => chunks.push(batch),
+            SampleEvent::Done(done) => break done,
+        }
+    };
+    // One worker's first slice is one lane block: at most LANES rows.
+    assert!(
+        !chunks[0].is_empty() && chunks[0].len() <= LANES,
+        "first chunk holds {} solutions",
+        chunks[0].len()
+    );
+    assert!(done.chunks >= 2, "{} chunks", done.chunks);
+    assert_eq!(done.chunks, chunks.len() as u64);
+    assert_eq!(
+        chunks.concat(),
+        expected,
+        "chunks concatenate to the stream"
+    );
 }
 
 #[test]

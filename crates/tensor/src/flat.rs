@@ -39,7 +39,7 @@
 //! `tests/proptest_flat.rs` and replayed over the generated corpus in CI.
 
 use crate::circuit::{SoftCircuit, SoftGate};
-use crate::{ops, Backend, BatchMatrix, MemoryModel};
+use crate::{ops, Backend, MemoryModel};
 
 /// Batch rows the sampler's descend region moves through the kernel per
 /// CSR step: two 64-byte cache lines per node per buffer.
@@ -350,32 +350,33 @@ impl FlatKernel {
         loss
     }
 
-    /// Runs up to `iterations` fused gradient-descent steps on every row of
-    /// `logits` in place: the matrix is cut into blocks of [`LANES`] rows,
-    /// the backend maps over the blocks, and each worker reuses one
+    /// Runs up to `iterations` fused gradient-descent steps in place on
+    /// `rows`, whole row-major rows of logits (a logit matrix, or a range
+    /// of its rows): they are cut into blocks of [`LANES`] rows, the
+    /// backend maps over the blocks, and each worker reuses one
     /// [`FlatKernel::lane_workspace`] for every block it claims — zero
     /// allocations per block. Each block runs
     /// [`FlatKernel::fused_gd_block`] with `stopped` (polled before every
     /// iteration) and `embed`.
     ///
     /// Rows are independent, so every row ends bit-identical whatever the
-    /// backend or thread count.
+    /// range it is descended in, the backend or the thread count.
     ///
     /// # Panics
     ///
-    /// Panics if `logits` does not have [`FlatKernel::num_inputs`] columns.
+    /// Panics if `rows` is not a whole number of rows of
+    /// [`FlatKernel::num_inputs`] logits.
     pub fn descend(
         &self,
-        logits: &mut BatchMatrix,
+        rows: &mut [f32],
         backend: Backend,
         learning_rate: f32,
         iterations: usize,
         stopped: impl Fn() -> bool + Sync,
         embed: impl Fn(f32) -> f32 + Sync,
     ) {
-        assert_eq!(logits.width(), self.num_inputs, "one logit per input");
         backend.for_each_row_with(
-            logits.as_mut_slice(),
+            rows,
             self.num_inputs * LANES,
             || self.lane_workspace::<LANES>(),
             |_, block, ws| {
@@ -1117,7 +1118,7 @@ mod tests {
             for backend in [Backend::Threads(1), Backend::Threads(3)] {
                 let mut logits = start.clone();
                 kernel.descend(
-                    &mut logits,
+                    logits.as_mut_slice(),
                     backend,
                     learning_rate,
                     iterations,

@@ -1,6 +1,7 @@
 //! Dense batched matrices.
 
 use std::fmt;
+use std::ops::Range;
 
 /// A dense, row-major `f32` matrix of shape `[batch, width]`.
 ///
@@ -89,6 +90,13 @@ impl BatchMatrix {
         &mut self.data[row * self.width..(row + 1) * self.width]
     }
 
+    /// Mutable view of the rows `rows`, in row-major order; panics if
+    /// `rows` ends beyond the matrix.
+    #[inline]
+    pub fn row_range_mut(&mut self, rows: Range<usize>) -> &mut [f32] {
+        &mut self.data[rows.start * self.width..rows.end * self.width]
+    }
+
     /// View of the whole buffer in row-major order.
     pub fn as_slice(&self) -> &[f32] {
         &self.data
@@ -104,19 +112,20 @@ impl BatchMatrix {
         self.data.chunks(self.width)
     }
 
-    /// The signs of up to `64 * W` rows from row `first` on, one `[u64; W]`
-    /// per column: bit `j` of word `w` of column `c` is set when column `c`
-    /// of row `first + 64 * w + j` is above zero (`> 0.0`, so NaN and
-    /// `-0.0` give 0). Returns the words and how many rows they hold:
-    /// `64 * W`, or fewer at the end of the matrix. The bits above that
-    /// count are zero.
+    /// The signs of up to `64 * W` rows of `rows`, from its start on, one
+    /// `[u64; W]` per column: bit `j` of word `w` of column `c` is set when
+    /// column `c` of row `rows.start + 64 * w + j` is above zero (`> 0.0`,
+    /// so NaN and `-0.0` give 0). Returns the words and how many rows they
+    /// hold: `64 * W`, or fewer at the end of the range. The bits above
+    /// that count are zero.
     ///
     /// # Panics
     ///
-    /// Panics if `first` is not a row of the matrix.
-    pub fn sign_words<const W: usize>(&self, first: usize) -> (Vec<[u64; W]>, usize) {
-        assert!(first < self.batch, "row {first} lies beyond the batch");
-        let rows = (self.batch - first).min(W * u64::BITS as usize);
+    /// Panics if `rows` ends beyond the matrix.
+    pub fn sign_words<const W: usize>(&self, rows: Range<usize>) -> (Vec<[u64; W]>, usize) {
+        assert!(rows.end <= self.batch, "rows {rows:?} end beyond the batch");
+        let first = rows.start;
+        let rows = rows.len().min(W * u64::BITS as usize);
         let mut words = vec![[0u64; W]; self.width];
         for r in 0..rows {
             for (column, &v) in words.iter_mut().zip(self.row(first + r)) {
@@ -166,12 +175,15 @@ mod tests {
             1 => -0.0,
             _ => f32::NAN,
         });
-        assert_eq!(m.sign_words(0), (vec![[0], [0], [0]], 64));
-        assert_eq!(m.sign_words(64), (vec![[0b11_1000], [0], [0]], 6));
-        assert_eq!(m.sign_words(5), (vec![[!0 << 62], [0], [0]], 64));
+        assert_eq!(m.sign_words(0..70), (vec![[0], [0], [0]], 64));
+        assert_eq!(m.sign_words(64..70), (vec![[0b11_1000], [0], [0]], 6));
+        assert_eq!(m.sign_words(5..70), (vec![[!0 << 62], [0], [0]], 64));
         // Two words from row 5: rows 5..=68, then the last row, 69.
         let two = (vec![[!0 << 62, 1], [0; 2], [0; 2]], 65);
-        assert_eq!(m.sign_words::<2>(5), two);
+        assert_eq!(m.sign_words::<2>(5..70), two);
+        // The range's end cuts the words short of the matrix's: rows 64..68.
+        assert_eq!(m.sign_words(64..68), (vec![[0b1000], [0], [0]], 4));
+        assert_eq!(m.sign_words::<2>(5..69).1, 64);
     }
 
     #[test]
